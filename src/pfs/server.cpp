@@ -17,7 +17,7 @@ PfsServer::PfsServer(hw::Machine& machine, int io_index, const PfsParams& params
       device_(machine.raid(io_index)),
       content_(params.ufs.block_bytes),
       ufs_(machine.simulation(), "ufs-io" + std::to_string(io_index), device_, content_,
-           &machine.cpu(mesh_node_), params.ufs, &machine.tracer()),
+           &machine.cpu(mesh_node_), params.ufs),
       up_ev_(machine.simulation()) {
   up_ev_.set();
 }

@@ -1,11 +1,10 @@
-// Unit tests for statistics collection and tracing.
+// Unit tests for statistics collection.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::sim {
@@ -111,32 +110,6 @@ TEST(ByteLiterals, Convert) {
 TEST(Throughput, MegabytesPerSecond) {
   EXPECT_DOUBLE_EQ(megabytes_per_second(10'000'000, 2.0), 5.0);
   EXPECT_DOUBLE_EQ(megabytes_per_second(1, 0.0), 0.0);
-}
-
-TEST(Tracer, DisabledByDefault) {
-  Tracer t;
-  t.set_capture(true);
-  t.log(TraceCat::kDisk, 1.0, "disk0", "read");
-  EXPECT_TRUE(t.captured().empty());
-}
-
-TEST(Tracer, CapturesEnabledCategories) {
-  Tracer t;
-  t.set_capture(true);
-  t.enable(TraceCat::kDisk);
-  t.log(TraceCat::kDisk, 1.25, "disk0", "read block 7");
-  t.log(TraceCat::kNet, 1.5, "mesh", "suppressed");
-  EXPECT_NE(t.captured().find("disk/disk0: read block 7"), std::string::npos);
-  EXPECT_EQ(t.captured().find("suppressed"), std::string::npos);
-}
-
-TEST(Tracer, StreamsToSink) {
-  Tracer t;
-  std::ostringstream out;
-  t.set_sink(&out);
-  t.enable(TraceCat::kPfs);
-  t.log(TraceCat::kPfs, 0.5, "client3", "open /pfs/a");
-  EXPECT_NE(out.str().find("pfs/client3: open /pfs/a"), std::string::npos);
 }
 
 }  // namespace
