@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
                        fmt_double(r.observed_read_bw_mbs, 2),
                        fmt_double(r.observed_read_bw_mbs / legacy_bw, 2) + "x",
                        fmt_double(events_per_sec / 1e6, 2) + "M",
-                       std::to_string(r.coalesced_rpcs),
+                       std::to_string(r.rpc.coalesced_rpcs),
                        std::to_string(r.server_batch_sweeps)});
         JsonObject row = outcome_json(o);
         row.field("request_bytes", static_cast<std::uint64_t>(req))
@@ -136,9 +136,9 @@ int main(int argc, char** argv) {
             .field("coalesce", stages[s].coalesce)
             .field("server_batch", stages[s].batch)
             .field("events_per_sec", events_per_sec)
-            .field("coalesced_rpcs", r.coalesced_rpcs)
-            .field("coalesced_extents", r.coalesced_extents)
-            .field("stripe_map_refreshes", r.stripe_map_refreshes)
+            .field("coalesced_rpcs", r.rpc.coalesced_rpcs)
+            .field("coalesced_extents", r.rpc.coalesced_extents)
+            .field("stripe_map_refreshes", r.rpc.stripe_map_refreshes)
             .field("mesh_segments", r.mesh_segments)
             .field("batch_sweeps", r.server_batch_sweeps)
             .field("batched_extents", r.server_batched_extents)

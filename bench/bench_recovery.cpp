@@ -91,35 +91,35 @@ int main(int argc, char** argv) {
     const auto& r = o.result;
     const TierConfig& c = configs[i];
     table.add_row({c.name, fmt_double(r.observed_read_bw_mbs, 2),
-                   fmt_double(r.cache_recovery_time * 1e3, 3) + "ms",
-                   std::to_string(r.cache_recoveries),
-                   std::to_string(r.cache_recovered_blocks),
-                   std::to_string(r.cache_warm_hits) + "/" +
-                       std::to_string(r.cache_warm_lookups),
-                   fmt_double(r.cache_warm_hit_ratio, 3),
-                   std::to_string(r.cache_evictions),
+                   fmt_double(r.cache.total_recovery_time * 1e3, 3) + "ms",
+                   std::to_string(r.cache.recoveries),
+                   std::to_string(r.cache.recovered_blocks),
+                   std::to_string(r.cache.warm_hits) + "/" +
+                       std::to_string(r.cache.warm_lookups),
+                   fmt_double(r.cache.warm_hit_ratio(), 3),
+                   std::to_string(r.cache.evictions),
                    r.verify_failures == 0 ? "ok" : "FAIL"});
     if (std::string(c.name) == "tier crash") {
-      gated_warm_ratio = r.cache_warm_hit_ratio;
-      gated_recovery_time = r.cache_recovery_time;
-      gated_recovered_blocks = r.cache_recovered_blocks;
+      gated_warm_ratio = r.cache.warm_hit_ratio();
+      gated_recovery_time = r.cache.total_recovery_time;
+      gated_recovered_blocks = r.cache.recovered_blocks;
     }
     JsonObject row = outcome_json(o);
     row.field("tier", c.tier)
         .field("crash", c.crash)
         .field("capacity_blocks", c.capacity)
         .field("eviction", c.eviction == cache::EvictionKind::kLru ? "lru" : "fifo")
-        .field("cache_lookups", r.cache_lookups)
-        .field("cache_hits", r.cache_hits)
-        .field("cache_inserts", r.cache_inserts)
-        .field("cache_evictions", r.cache_evictions)
-        .field("journal_flushes", r.cache_journal_flushes)
-        .field("recoveries", r.cache_recoveries)
-        .field("recovered_blocks", r.cache_recovered_blocks)
-        .field("recovery_time_s", static_cast<double>(r.cache_recovery_time))
-        .field("warm_lookups", r.cache_warm_lookups)
-        .field("warm_hits", r.cache_warm_hits)
-        .field("warm_hit_ratio", r.cache_warm_hit_ratio)
+        .field("cache_lookups", r.cache.lookups)
+        .field("cache_hits", r.cache.hits)
+        .field("cache_inserts", r.cache.inserts)
+        .field("cache_evictions", r.cache.evictions)
+        .field("journal_flushes", r.cache.journal_flushes)
+        .field("recoveries", r.cache.recoveries)
+        .field("recovered_blocks", r.cache.recovered_blocks)
+        .field("recovery_time_s", static_cast<double>(r.cache.total_recovery_time))
+        .field("warm_lookups", r.cache.warm_lookups)
+        .field("warm_hits", r.cache.warm_hits)
+        .field("warm_hit_ratio", r.cache.warm_hit_ratio())
         .field("verify_failures", r.verify_failures);
     rows.add(row);
   }

@@ -110,15 +110,16 @@ int main(int argc, char** argv) {
         workload::run_open_arrival(bench::scale_machine(row), bench::scale_spec(row, args.quick));
     const double secs = seconds_since(t0);
     const double eps = secs > 0 ? static_cast<double>(r.events_dispatched) / secs : 0;
+    const std::uint64_t completed = r.reads + r.writes;
     largest = &row;
     std::printf("%-10s %9" PRIu64 " %8" PRIu64 " %12" PRIu64 " %11.3g %9.1f %9s %9s %8.2f\n",
-                row.name, r.completed, r.backlogged, r.events_dispatched, eps,
-                r.bytes_per_event, workload::fmt_time(r.latencies.median()).c_str(),
-                workload::fmt_time(r.latencies.percentile(95)).c_str(), secs);
-    if (r.completed != r.issued || r.app_errors != 0) {
+                row.name, completed, r.backlogged, r.events_dispatched, eps,
+                r.bytes_per_event, workload::fmt_time(r.read_latencies.median()).c_str(),
+                workload::fmt_time(r.read_latencies.percentile(95)).c_str(), secs);
+    if (completed != r.issued || r.faults.app_errors != 0) {
       std::fprintf(stderr, "error: %s: %" PRIu64 "/%" PRIu64 " completed, %" PRIu64
                            " app errors\n",
-                   row.name, r.completed, r.issued, r.app_errors);
+                   row.name, completed, r.issued, r.faults.app_errors);
       ok = false;
     }
     JsonObject o;
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
         .field("nio", row.nio)
         .field("tenants", row.tenants)
         .field("issued", r.issued)
-        .field("completed", r.completed)
+        .field("completed", completed)
         .field("backlogged", r.backlogged)
         .field("events", r.events_dispatched)
         .field("events_per_sec", eps)
@@ -136,9 +137,9 @@ int main(int argc, char** argv) {
         .field("event_queue_bytes", r.event_queue_bytes)
         .field("frame_arena_bytes", r.frame_arena_bytes)
         .field("machine_state_bytes", r.machine_state_bytes)
-        .field("latency_p50", r.latencies.median())
-        .field("latency_p95", r.latencies.percentile(95))
-        .field("latency_max", r.latencies.max())
+        .field("latency_p50", r.read_latencies.median())
+        .field("latency_p95", r.read_latencies.percentile(95))
+        .field("latency_max", r.read_latencies.max())
         .field("backlog_time", r.backlog_time)
         .field("wall_bw_mbs", r.wall_bw_mbs)
         .field("digest", bench::fmt_digest(r.digest))

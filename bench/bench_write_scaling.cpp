@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
     spec.machine.ncompute = 8;
     const auto r = run_write_workload(spec);
     verify_ok = verify_ok && r.verify_failures == 0;
+    const auto& tc = r.token_cache;
     table.add_row({row.name, fmt_double(r.observed_write_bw_mbs, 2),
-                   std::to_string(r.token_rpcs), std::to_string(r.token_local_grants),
-                   std::to_string(r.token_revocations), std::to_string(r.wb_flush_ops),
+                   std::to_string(r.rpc.token_rpcs), std::to_string(tc.local_grants),
+                   std::to_string(tc.revocations), std::to_string(tc.flush_ops),
                    r.verify_failures == 0 ? "ok" : "FAIL"});
     if (!row.conflicting && row.writers == 1) bw1 = r.observed_write_bw_mbs;
     if (!row.conflicting && row.writers == 8) bw8 = r.observed_write_bw_mbs;
@@ -92,14 +93,14 @@ int main(int argc, char** argv) {
         .field("write_bw_mbs", r.observed_write_bw_mbs)
         .field("wall_bw_mbs", r.wall_bw_mbs)
         .field("bytes_written", r.bytes_written)
-        .field("token_rpcs", r.token_rpcs)
-        .field("token_local_grants", r.token_local_grants)
+        .field("token_rpcs", r.rpc.token_rpcs)
+        .field("token_local_grants", tc.local_grants)
         .field("token_grants", r.token_grants)
-        .field("token_revocations", r.token_revocations)
+        .field("token_revocations", tc.revocations)
         .field("token_splits", r.token_splits)
-        .field("wb_flush_ops", r.wb_flush_ops)
-        .field("wb_flushed_bytes", r.wb_flushed_bytes)
-        .field("wb_peak_dirty_bytes", r.wb_peak_dirty_bytes)
+        .field("wb_flush_ops", tc.flush_ops)
+        .field("wb_flushed_bytes", tc.flushed_bytes)
+        .field("wb_peak_dirty_bytes", tc.peak_dirty_bytes)
         .field("events", r.events_dispatched)
         .field("digest", fmt_digest(r.digest))
         .field("verify_failures", r.verify_failures);

@@ -1,8 +1,31 @@
 #include "cache/tier.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ppfs::cache {
+
+CacheTierStats& CacheTierStats::operator+=(const CacheTierStats& o) {
+  lookups += o.lookups;
+  hits += o.hits;
+  misses += o.misses;
+  inserts += o.inserts;
+  evictions += o.evictions;
+  journal_flushes += o.journal_flushes;
+  recoveries += o.recoveries;
+  recovered_blocks += o.recovered_blocks;
+  torn_entries_dropped += o.torn_entries_dropped;
+  stale_entries_dropped += o.stale_entries_dropped;
+  out_of_range_bits_dropped += o.out_of_range_bits_dropped;
+  if (o.recoveries > 0) {
+    warm_lookups += o.warm_lookups;
+    warm_hits += o.warm_hits;
+  }
+  bytes_served += o.bytes_served;
+  last_recovery_time = std::max(last_recovery_time, o.last_recovery_time);
+  total_recovery_time += o.total_recovery_time;
+  return *this;
+}
 
 CacheTier::CacheTier(sim::Simulation& sim, std::string name, CacheTierParams params,
                      InodeQuery gen_of, InodeQuery blocks_of)

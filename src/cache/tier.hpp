@@ -82,6 +82,10 @@ struct CacheTierStats {
     return warm_lookups ? static_cast<double>(warm_hits) / static_cast<double>(warm_lookups)
                         : 0.0;
   }
+  /// Sum another tier's counters into these. The warm window is taken only
+  /// from a tier that replayed a journal (an uncrashed tier's hits are just
+  /// tier hits), so the sum is the post-restart service quality.
+  CacheTierStats& operator+=(const CacheTierStats& o);
 };
 
 class CacheTier {

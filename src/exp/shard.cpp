@@ -81,14 +81,14 @@ ShardedScaleReport run_sharded_scale(const workload::MachineSpec& machine,
   for (const auto& s : report.shards) {
     if (!s.ok()) continue;
     report.issued += s.result.issued;
-    report.completed += s.result.completed;
-    report.app_errors += s.result.app_errors;
+    report.completed += s.result.reads + s.result.writes;
+    report.app_errors += s.result.faults.app_errors;
     report.total_bytes += s.result.total_bytes;
     report.events_dispatched += s.result.events_dispatched;
     report.peak_pending_events =
         std::max(report.peak_pending_events, s.result.peak_pending_events);
     report.machine_state_bytes += s.result.machine_state_bytes;
-    report.latencies.merge(s.result.latencies);
+    report.latencies.merge(s.result.read_latencies);
     merged.mix_u64(s.result.digest);
   }
   report.merged_digest = merged.value();

@@ -34,7 +34,7 @@ struct ScaleShardOutcome {
   int index = 0;
   int ncompute = 0;
   int nio = 0;
-  workload::OpenArrivalResult result;
+  workload::ExperimentResult result;
   double seconds = 0;  ///< host wall-clock spent inside this shard
   std::string error;
   bool ok() const noexcept { return error.empty(); }

@@ -14,6 +14,42 @@
 
 namespace ppfs::pfs {
 
+RpcStats& RpcStats::operator+=(const RpcStats& o) {
+  attempts += o.attempts;
+  data_rpcs += o.data_rpcs;
+  metadata_rpcs += o.metadata_rpcs;
+  pointer_rpcs += o.pointer_rpcs;
+  token_rpcs += o.token_rpcs;
+  coalesced_rpcs += o.coalesced_rpcs;
+  coalesced_extents += o.coalesced_extents;
+  stripe_map_refreshes += o.stripe_map_refreshes;
+  retries += o.retries;
+  retried_ok += o.retried_ok;
+  down_waits += o.down_waits;
+  timeouts += o.timeouts;
+  terminal_errors += o.terminal_errors;
+  for (std::size_t c = 0; c < cause_counts.size(); ++c) cause_counts[c] += o.cause_counts[c];
+  backoff_time += o.backoff_time;
+  recovery_wait_time += o.recovery_wait_time;
+  return *this;
+}
+
+TokenCacheStats& TokenCacheStats::operator+=(const TokenCacheStats& o) {
+  local_grants += o.local_grants;
+  revocations += o.revocations;
+  invalidations += o.invalidations;
+  wb_writes += o.wb_writes;
+  wb_read_hits += o.wb_read_hits;
+  flush_ops += o.flush_ops;
+  flushed_bytes += o.flushed_bytes;
+  revocation_flushes += o.revocation_flushes;
+  fsync_flushes += o.fsync_flushes;
+  capacity_evictions += o.capacity_evictions;
+  dirty_bytes += o.dirty_bytes;
+  peak_dirty_bytes = std::max(peak_dirty_bytes, o.peak_dirty_bytes);
+  return *this;
+}
+
 PfsClient::PfsClient(PfsFileSystem& fs, int compute_index, int rank, int nprocs)
     : fs_(fs),
       machine_(fs.machine()),

@@ -99,6 +99,8 @@ struct RpcStats {
   std::uint64_t fault_signal() const {
     return retries + down_waits + timeouts + terminal_errors;
   }
+  /// Sum another client's counters into these.
+  RpcStats& operator+=(const RpcStats& o);
 };
 
 /// TokenWrite client-side counters: the token cache and the write-back
@@ -117,6 +119,9 @@ struct TokenCacheStats {
   std::uint64_t capacity_evictions = 0;  // flush ops forced by the dirty budget
   ByteCount dirty_bytes = 0;             // currently buffered
   ByteCount peak_dirty_bytes = 0;
+
+  /// Sum another client's counters into these; the peak is the max.
+  TokenCacheStats& operator+=(const TokenCacheStats& o);
 };
 
 class PfsClient : public TokenRevokeHandler {

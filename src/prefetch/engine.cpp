@@ -8,6 +8,29 @@
 
 namespace ppfs::prefetch {
 
+PrefetchStats& PrefetchStats::operator+=(const PrefetchStats& o) {
+  issued += o.issued;
+  hits_ready += o.hits_ready;
+  hits_in_flight += o.hits_in_flight;
+  misses += o.misses;
+  stale_discarded += o.stale_discarded;
+  wasted += o.wasted;
+  throttled_skips += o.throttled_skips;
+  shed += o.shed;
+  epoch_discarded += o.epoch_discarded;
+  fault_pauses += o.fault_pauses;
+  fault_skips += o.fault_skips;
+  bytes_prefetched += o.bytes_prefetched;
+  bytes_served += o.bytes_served;
+  wait_time += o.wait_time;
+  depth_ramp_ups += o.depth_ramp_ups;
+  depth_ramp_downs += o.depth_ramp_downs;
+  depth_collapses += o.depth_collapses;
+  wasted_bytes += o.wasted_bytes;
+  for (std::size_t b = 0; b < kDepthHistBuckets; ++b) depth_hist[b] += o.depth_hist[b];
+  return *this;
+}
+
 PrefetchEngine::PrefetchEngine(pfs::PfsClient& client, PrefetchConfig cfg)
     : client_(client), cfg_(cfg), predictor_(make_predictor(cfg.predictor)) {
   if (cfg_.adaptive_depth) {

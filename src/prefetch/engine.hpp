@@ -115,6 +115,8 @@ struct PrefetchStats {
                         static_cast<double>(issued)
                   : 0.0;
   }
+  /// Sum another engine's counters into these.
+  PrefetchStats& operator+=(const PrefetchStats& o);
 };
 
 class PrefetchEngine final : public pfs::Prefetcher {

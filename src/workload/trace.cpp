@@ -1,17 +1,10 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "hw/machine.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
 #include "sim/event.hpp"
-#include "sim/simulation.hpp"
-#include "sim/when_all.hpp"
 #include "workload/generator.hpp"
 
 namespace ppfs::workload {
@@ -23,6 +16,8 @@ using sim::ByteCount;
 using sim::FileOffset;
 using sim::SimTime;
 using sim::Task;
+
+constexpr std::uint64_t kTraceTag = 1;  // pattern of the replayed file
 
 /// Smallest file covering every access of the trace (pointer semantics
 /// simulated per mode; dynamic-claim modes get the sum of all reads).
@@ -177,17 +172,9 @@ AccessTrace AccessTrace::strided(int ranks, int reads_per_rank, ByteCount len,
 
 namespace {
 
-struct RankOutcome {
-  SimTime start = 0;
-  SimTime end = 0;
-  ByteCount bytes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t verify_failures = 0;
-};
-
 Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
                        std::vector<TraceOp> my_ops, IoMode mode, sim::Barrier& start_line,
-                       bool verify, RankOutcome& out) {
+                       bool verify, ClientTally& out) {
   const int fd = co_await client.open("trace", mode);
   co_await start_line.arrive_and_wait();
   out.start = sim.now();
@@ -208,7 +195,7 @@ Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
     ++out.reads;
     out.end = sim.now();
     if (verify && got > 0 && offsets_are_static(mode) && mode != IoMode::kGlobal) {
-      if (find_pattern_mismatch(1, expect,
+      if (find_pattern_mismatch(kTraceTag, expect,
                                 std::span<const std::byte>(buf).subspan(0, got)) !=
           kNoMismatch) {
         ++out.verify_failures;
@@ -221,94 +208,32 @@ Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
 
 }  // namespace
 
-TraceReplayResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace,
-                               bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg,
-                               bool verify) {
+ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace,
+                              bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg,
+                              bool verify) {
   if (trace.ranks > mspec.ncompute) {
     throw std::invalid_argument("replay_trace: trace has more ranks than compute nodes");
   }
   const ByteCount file_size = required_file_size(trace);
   if (file_size == 0) throw std::invalid_argument("replay_trace: empty trace");
 
-  sim::Simulation sim;
-  hw::MachineConfig mcfg = hw::MachineConfig::paragon(mspec.ncompute, mspec.nio, mspec.raid);
-  mcfg.compute_cpu = mspec.compute_cpu;
-  mcfg.io_cpu = mspec.io_cpu;
-  hw::Machine machine(sim, mcfg);
-  pfs::PfsFileSystem fs(machine, mspec.pfs);
-  fs.create("trace", fs.default_attrs());
-
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  std::vector<std::unique_ptr<prefetch::PrefetchEngine>> engines;
-  for (int r = 0; r < trace.ranks; ++r) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, trace.ranks));
-    if (prefetch_on) {
-      engines.push_back(prefetch::attach_prefetcher(*clients[r], prefetch_cfg));
-    }
-  }
-
-  // Populate with the pattern (tag 1).
-  {
-    bool done = false;
-    // ppfs-lint: allow(ref-across-await) referents are locals; sim.run() below blocks until done
-    sim.spawn([](pfs::PfsClient& c, ByteCount size, bool& flag) -> Task<void> {
-      const int fd = co_await c.open("trace", IoMode::kAsync);
-      std::vector<std::byte> chunk(std::min<ByteCount>(size, 1024 * 1024));
-      for (ByteCount off = 0; off < size; off += chunk.size()) {
-        const ByteCount n = std::min<ByteCount>(chunk.size(), size - off);
-        fill_pattern(1, off, std::span(chunk).subspan(0, n));
-        co_await c.write(fd, std::span<const std::byte>(chunk).subspan(0, n));
-      }
-      c.close(fd);
-      flag = true;
-    }(*clients[0], file_size, done));
-    sim.run();
-    if (!done) throw std::runtime_error("replay_trace: population deadlocked");
-  }
-
-  std::vector<SimTime> base_read_time(trace.ranks);
-  for (int r = 0; r < trace.ranks; ++r) base_read_time[r] = clients[r]->stats().read_time;
+  Run run(mspec, trace.ranks);
+  run.fs().create("trace", run.fs().default_attrs());
+  if (prefetch_on) run.attach_prefetchers(prefetch_cfg);
+  run.populate({{0, "trace", file_size, kTraceTag}});
+  run.begin();
 
   // Split ops per rank, preserving order.
   std::vector<std::vector<TraceOp>> per_rank(trace.ranks);
   for (const TraceOp& op : trace.ops) per_rank[op.rank].push_back(op);
 
-  sim::Barrier start_line(sim, trace.ranks);
-  std::vector<RankOutcome> outcomes(trace.ranks);
+  sim::Barrier start_line(run.sim(), trace.ranks);
   for (int r = 0; r < trace.ranks; ++r) {
-    sim.spawn(rank_replay(sim, *clients[r], per_rank[r], trace.mode, start_line, verify,
-                          outcomes[r]));
+    run.sim().spawn(rank_replay(run.sim(), run.client(r), per_rank[r], trace.mode, start_line,
+                                verify, run.tally(r)));
   }
-  sim.run();
-
-  TraceReplayResult res;
-  SimTime t0 = sim::kTimeInfinity, t1 = 0;
-  for (int r = 0; r < trace.ranks; ++r) {
-    res.total_bytes += outcomes[r].bytes;
-    res.reads += outcomes[r].reads;
-    res.verify_failures += outcomes[r].verify_failures;
-    t0 = std::min(t0, outcomes[r].start);
-    t1 = std::max(t1, outcomes[r].end);
-    res.max_node_read_time = std::max(
-        res.max_node_read_time, clients[r]->stats().read_time - base_read_time[r]);
-    if (prefetch_on) {
-      const auto& st = engines[r]->stats();
-      res.prefetch.issued += st.issued;
-      res.prefetch.hits_ready += st.hits_ready;
-      res.prefetch.hits_in_flight += st.hits_in_flight;
-      res.prefetch.misses += st.misses;
-      res.prefetch.stale_discarded += st.stale_discarded;
-      res.prefetch.wasted += st.wasted;
-      res.prefetch.throttled_skips += st.throttled_skips;
-      res.prefetch.bytes_prefetched += st.bytes_prefetched;
-      res.prefetch.bytes_served += st.bytes_served;
-      res.prefetch.wait_time += st.wait_time;
-    }
-  }
-  res.wall_elapsed = t1 - t0;
-  res.observed_read_bw_mbs =
-      sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
-  return res;
+  run.drain("replay_trace: replay");
+  return run.finish();
 }
 
 }  // namespace ppfs::workload

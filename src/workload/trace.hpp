@@ -13,8 +13,8 @@
 //   0 read 65536 0.05      <- rank op length think_seconds
 //   1 read 65536 0
 //
-// replay_trace() runs a trace on a fresh machine and reports the same
-// metrics as Experiment::run.
+// replay_trace() runs a trace on the run harness (workload/run.hpp) and
+// reports the same result as Experiment::run.
 #pragma once
 
 #include <string>
@@ -23,7 +23,7 @@
 #include "pfs/io_mode.hpp"
 #include "prefetch/engine.hpp"
 #include "sim/types.hpp"
-#include "workload/experiment.hpp"
+#include "workload/run.hpp"
 
 namespace ppfs::workload {
 
@@ -56,23 +56,12 @@ struct AccessTrace {
                              sim::ByteCount stride, sim::SimTime think);
 };
 
-struct TraceReplayResult {
-  sim::ByteCount total_bytes = 0;
-  std::uint64_t reads = 0;
-  sim::SimTime wall_elapsed = 0;
-  sim::SimTime max_node_read_time = 0;
-  double observed_read_bw_mbs = 0;
-  prefetch::PrefetchStats prefetch;
-  std::uint64_t verify_failures = 0;
-};
-
 /// Replay a trace on a fresh machine. The backing PFS file is created and
 /// patterned large enough for every access; reads are verified when
 /// `verify` is set (only for traces whose reads are offset-determined:
 /// unique-pointer modes and M_RECORD).
-TraceReplayResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
-                               bool prefetch_on,
-                               prefetch::PrefetchConfig prefetch_cfg = {},
-                               bool verify = false);
+ExperimentResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
+                              bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg = {},
+                              bool verify = false);
 
 }  // namespace ppfs::workload

@@ -1,18 +1,10 @@
 #include "workload/write_workload.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "fault/error.hpp"
-#include "fault/injector.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
 #include "sim/event.hpp"
-#include "sim/frame_arena.hpp"
-#include "sim/simulation.hpp"
 #include "workload/generator.hpp"
 
 namespace ppfs::workload {
@@ -31,23 +23,11 @@ constexpr std::uint64_t kCkptTagBase = 2000;
 // (unflushed) round fails verification byte-for-byte.
 constexpr std::uint64_t kStreamTagBase = 3000;
 
-struct WriterOutcome {
-  SimTime start = 0;
-  SimTime end = 0;
-  std::uint64_t writes = 0;
-  ByteCount bytes_written = 0;
-  std::uint64_t reads = 0;
-  ByteCount bytes_read = 0;
-  std::uint64_t verify_failures = 0;
-  std::uint64_t app_errors = 0;
-  sim::StreamingQuantiles write_latencies;
-};
-
 /// One checkpoint writer: write the round's record (own slot, or the shared
 /// record when conflicting), optionally fsync, barrier, then cross-read the
 /// next peer's record and verify every byte came from exactly one writer.
 Task<void> checkpoint_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
-                           sim::Barrier& round_line, WriterOutcome& out, int c) {
+                           sim::Barrier& round_line, ClientTally& out, int c) {
   sim::Simulation& sim = client.machine().simulation();
   const int W = spec.writers;
   const int fd = co_await client.open("ckpt", IoMode::kAsync);
@@ -69,9 +49,7 @@ Task<void> checkpoint_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client
     } catch (const fault::FaultError&) {
       failed = true;
     }
-    out.write_latencies.add(sim.now() - t0);
-    ++out.writes;
-    out.bytes_written += spec.request_size;
+    out.latencies.add(sim.now() - t0);
     if (failed) ++out.app_errors;
 
     // Everyone's round-r write (and fsync) has settled past this line.
@@ -93,7 +71,7 @@ Task<void> checkpoint_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client
         read_failed = true;
       }
       ++out.reads;
-      out.bytes_read += got;
+      out.bytes += got;
       if (read_failed) {
         ++out.app_errors;
       } else {
@@ -133,7 +111,7 @@ Task<void> checkpoint_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client
 /// Producer: writes the round's record and NEVER fsyncs — the data leaves
 /// its write-back cache only through the consumers' revocations.
 Task<void> producer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
-                         sim::Barrier& round_line, WriterOutcome& out) {
+                         sim::Barrier& round_line, ClientTally& out) {
   sim::Simulation& sim = client.machine().simulation();
   const int fd = co_await client.open("stream", IoMode::kAsync);
   std::vector<std::byte> buf(spec.request_size);
@@ -151,9 +129,7 @@ Task<void> producer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
     } catch (const fault::FaultError&) {
       failed = true;
     }
-    out.write_latencies.add(sim.now() - t0);
-    ++out.writes;
-    out.bytes_written += spec.request_size;
+    out.latencies.add(sim.now() - t0);
     if (failed) ++out.app_errors;
     out.end = sim.now();
 
@@ -172,7 +148,7 @@ Task<void> producer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
 /// token acquisition is what revokes the producer's write token and forces
 /// the flush — byte-exact verification proves flush-before-ack coherence.
 Task<void> consumer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
-                         sim::Barrier& round_line, WriterOutcome& out) {
+                         sim::Barrier& round_line, ClientTally& out) {
   sim::Simulation& sim = client.machine().simulation();
   const int fd = co_await client.open("stream", IoMode::kAsync);
   std::vector<std::byte> buf(spec.request_size);
@@ -191,7 +167,7 @@ Task<void> consumer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
       failed = true;
     }
     ++out.reads;
-    out.bytes_read += got;
+    out.bytes += got;
     if (failed) {
       ++out.app_errors;
     } else if (spec.verify) {
@@ -211,113 +187,39 @@ Task<void> consumer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
 
 ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
   const int W = spec.writers;
-  const MachineSpec& m = spec.machine;
+  MachineSpec m = spec.machine;
   if (W > m.ncompute) {
     throw std::invalid_argument("write-workload: writers exceed compute nodes");
   }
   if (spec.kind == WriteWorkloadKind::kProducerConsumer && W < 2) {
     throw std::invalid_argument("write-workload: producer-consumer needs >= 2 clients");
   }
+  m.pfs.write_tokens = true;  // the whole point of these workloads
+  Run run(m, W);
+  run.fs().create(spec.kind == WriteWorkloadKind::kCheckpoint ? "ckpt" : "stream");
+  run.begin(spec.faults);
 
-  sim::Simulation sim;
-  hw::MachineConfig mcfg = hw::MachineConfig::paragon(m.ncompute, m.nio, m.raid);
-  mcfg.compute_cpu = m.compute_cpu;
-  mcfg.io_cpu = m.io_cpu;
-  mcfg.mesh.mtu = m.mesh_mtu;
-  hw::Machine machine(sim, mcfg);
-  pfs::PfsParams params = m.pfs;
-  params.write_tokens = true;  // the whole point of these workloads
-  pfs::PfsFileSystem fs(machine, params);
-  fs.create(spec.kind == WriteWorkloadKind::kCheckpoint ? "ckpt" : "stream");
-
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  clients.reserve(static_cast<std::size_t>(W));
+  sim::Barrier round_line(run.sim(), static_cast<std::size_t>(W));
   for (int c = 0; c < W; ++c) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, c, c, W));
-  }
-
-  fault::FaultInjector injector(machine, fs);
-  if (!spec.faults.empty()) injector.arm(spec.faults, sim.now());
-
-  sim::Barrier round_line(sim, static_cast<std::size_t>(W));
-  std::vector<WriterOutcome> outcomes(static_cast<std::size_t>(W));
-  for (int c = 0; c < W; ++c) {
-    const auto i = static_cast<std::size_t>(c);
     if (spec.kind == WriteWorkloadKind::kCheckpoint) {
-      sim.spawn(checkpoint_proc(spec, *clients[i], round_line, outcomes[i], c));
+      run.sim().spawn(checkpoint_proc(spec, run.client(c), round_line, run.tally(c), c));
     } else if (c == 0) {
-      sim.spawn(producer_proc(spec, *clients[i], round_line, outcomes[i]));
+      run.sim().spawn(producer_proc(spec, run.client(c), round_line, run.tally(c)));
     } else {
-      sim.spawn(consumer_proc(spec, *clients[i], round_line, outcomes[i]));
+      run.sim().spawn(consumer_proc(spec, run.client(c), round_line, run.tally(c)));
     }
   }
-  sim.run();
+  run.drain("write-workload: rounds");
 
-  ExperimentResult res;
-  res.spec.name = to_string(spec.kind);
-  res.spec.mode = IoMode::kAsync;
-  res.spec.request_size = spec.request_size;
-  res.spec.compute_delay = spec.compute_delay;
-  res.spec.verify = spec.verify;
-  res.spec.faults = spec.faults;
-  SimTime t0 = sim::kTimeInfinity, t1 = 0;
-  for (int c = 0; c < W; ++c) {
-    const auto& o = outcomes[static_cast<std::size_t>(c)];
-    const std::uint64_t expected =
-        (spec.kind == WriteWorkloadKind::kCheckpoint || c == 0) ? spec.rounds : 0;
-    if (o.writes != expected ||
-        (spec.kind == WriteWorkloadKind::kProducerConsumer && c > 0 &&
-         o.reads != spec.rounds)) {
-      throw std::runtime_error("write-workload: client " + std::to_string(c) +
-                               " did not finish its rounds (deadlock?)");
-    }
-    res.reads += o.reads;
-    res.total_bytes += o.bytes_read;
-    res.verify_failures += o.verify_failures;
-    res.faults.app_errors += o.app_errors;
-    res.read_latencies.merge(o.write_latencies);
-    t0 = std::min(t0, o.start);
-    t1 = std::max(t1, o.end);
-    const SimTime wt = clients[static_cast<std::size_t>(c)]->stats().write_time;
-    res.node_read_time.push_back(wt);
-    const auto& rpc = clients[static_cast<std::size_t>(c)]->rpc_stats();
-    res.data_rpcs += rpc.data_rpcs;
-    res.metadata_rpcs += rpc.metadata_rpcs;
-    res.pointer_rpcs += rpc.pointer_rpcs;
-    res.coalesced_rpcs += rpc.coalesced_rpcs;
-    res.coalesced_extents += rpc.coalesced_extents;
-    res.stripe_map_refreshes += rpc.stripe_map_refreshes;
-    res.faults.rpc_retries += rpc.retries;
-    res.faults.rpc_down_waits += rpc.down_waits;
-    res.faults.rpc_timeouts += rpc.timeouts;
-    res.faults.terminal_errors += rpc.terminal_errors;
-    res.faults.backoff_time += rpc.backoff_time;
-    res.faults.recovery_wait_time += rpc.recovery_wait_time;
-    accumulate_token_stats(res, *clients[static_cast<std::size_t>(c)]);
-  }
-  res.faults.injected_events = static_cast<std::uint64_t>(injector.injected());
-  res.token_grants = fs.tokens().stats().grants;
-  res.token_splits = fs.tokens().stats().splits;
-  res.wall_elapsed = t1 > t0 ? t1 - t0 : 0;
-  res.observed_write_bw_mbs =
-      sim::megabytes_per_second(res.bytes_written, res.max_node_write_time);
+  WorkloadSpec echo;
+  echo.name = to_string(spec.kind);
+  echo.mode = IoMode::kAsync;
+  echo.request_size = spec.request_size;
+  echo.compute_delay = spec.compute_delay;
+  echo.verify = spec.verify;
+  echo.faults = spec.faults;
+  ExperimentResult res = run.finish(std::move(echo));
   res.wall_bw_mbs = sim::megabytes_per_second(res.bytes_written, res.wall_elapsed);
-  res.mesh_segmented_messages = machine.mesh().segmented_messages();
-  res.mesh_segments = machine.mesh().segments_sent();
-  res.top_links = machine.mesh().top_busy_links(5);
-  if (auto* a = sim.auditor()) {
-    a->check_token_conservation(sim.now(), fs.tokens().write_granted_bytes());
-  }
-  res.digest = sim.digest();
-  res.events_dispatched = sim.events_dispatched();
-  res.peak_pending_events = sim.peak_pending_events();
-  res.event_queue_bytes = sim.event_queue_bytes();
-  res.frame_arena_bytes = sim::FrameArena::local().stats().cached_bytes;
-  res.bytes_per_event =
-      res.events_dispatched
-          ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /
-                static_cast<double>(res.events_dispatched)
-          : 0.0;
   return res;
 }
 
@@ -330,40 +232,10 @@ ExperimentResult run_mixed(const WriteWorkloadSpec& spec) {
   oa.request_size = spec.request_size;
   oa.seed = spec.seed;
   oa.write_fraction = spec.write_fraction;
-  const OpenArrivalResult r = run_open_arrival(m, oa);
-
-  ExperimentResult res;
+  ExperimentResult res = run_open_arrival(m, oa);
   res.spec.name = to_string(spec.kind);
   res.spec.mode = IoMode::kAsync;
   res.spec.request_size = spec.request_size;
-  res.reads = r.completed - r.writes_completed;
-  res.total_bytes = r.total_bytes;
-  res.writes = r.writes_completed;
-  res.bytes_written = r.bytes_written;
-  res.faults.app_errors = r.app_errors;
-  res.wall_elapsed = r.sim_elapsed;
-  res.wall_bw_mbs = r.wall_bw_mbs;
-  res.read_latencies = r.latencies;
-  res.token_rpcs = r.token_rpcs;
-  res.token_local_grants = r.token_local_grants;
-  res.token_grants = r.token_grants;
-  res.token_revocations = r.token_revocations;
-  res.token_splits = r.token_splits;
-  res.token_invalidations = r.token_invalidations;
-  res.wb_writes = r.wb_writes;
-  res.wb_read_hits = r.wb_read_hits;
-  res.wb_flush_ops = r.wb_flush_ops;
-  res.wb_flushed_bytes = r.wb_flushed_bytes;
-  res.wb_revocation_flushes = r.wb_revocation_flushes;
-  res.wb_fsync_flushes = r.wb_fsync_flushes;
-  res.wb_capacity_evictions = r.wb_capacity_evictions;
-  res.wb_peak_dirty_bytes = r.wb_peak_dirty_bytes;
-  res.digest = r.digest;
-  res.events_dispatched = r.events_dispatched;
-  res.peak_pending_events = r.peak_pending_events;
-  res.event_queue_bytes = r.event_queue_bytes;
-  res.frame_arena_bytes = r.frame_arena_bytes;
-  res.bytes_per_event = r.bytes_per_event;
   return res;
 }
 

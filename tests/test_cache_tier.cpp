@@ -322,12 +322,12 @@ TEST(CacheTierWorkload, WarmRestartServesPostCrashReadsFromTier) {
   const auto r = exp.run(w);
   EXPECT_EQ(r.verify_failures, 0u);
   EXPECT_EQ(r.faults.app_errors, 0u);
-  EXPECT_EQ(r.cache_recoveries, 1u);
+  EXPECT_EQ(r.cache.recoveries, 1u);
   EXPECT_EQ(r.faults.node_recoveries, 1u);
-  EXPECT_GT(r.cache_recovered_blocks, 0u);
-  EXPECT_GT(r.cache_recovery_time, 0.0);
+  EXPECT_GT(r.cache.recovered_blocks, 0u);
+  EXPECT_GT(r.cache.total_recovery_time, 0.0);
   EXPECT_GT(r.faults.node_recovery_time, 0.0);
-  EXPECT_GE(r.cache_warm_hit_ratio, 0.5);
+  EXPECT_GE(r.cache.warm_hit_ratio(), 0.5);
 }
 
 TEST(CacheTierWorkload, TierRunsAreSeedDeterministic) {
@@ -343,8 +343,8 @@ TEST(CacheTierWorkload, TierRunsAreSeedDeterministic) {
   const auto b = exp.run(w);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.cache_lookups, b.cache_lookups);
-  EXPECT_EQ(a.cache_recoveries, b.cache_recoveries);
+  EXPECT_EQ(a.cache.lookups, b.cache.lookups);
+  EXPECT_EQ(a.cache.recoveries, b.cache.recoveries);
 }
 
 TEST(CacheTierWorkload, HealthyTierRunVerifiesAndHits) {
@@ -355,10 +355,10 @@ TEST(CacheTierWorkload, HealthyTierRunVerifiesAndHits) {
   w.verify = true;
   const auto r = exp.run(w);
   EXPECT_EQ(r.verify_failures, 0u);
-  EXPECT_GT(r.cache_inserts, 0u);
-  EXPECT_GT(r.cache_hits, 0u);
-  EXPECT_EQ(r.cache_recoveries, 0u);
-  EXPECT_EQ(r.cache_recovery_time, 0.0);
+  EXPECT_GT(r.cache.inserts, 0u);
+  EXPECT_GT(r.cache.hits, 0u);
+  EXPECT_EQ(r.cache.recoveries, 0u);
+  EXPECT_EQ(r.cache.total_recovery_time, 0.0);
 }
 
 TEST(CacheTierWorkload, EvictionPressureStillVerifies) {
@@ -370,7 +370,7 @@ TEST(CacheTierWorkload, EvictionPressureStillVerifies) {
   w.verify = true;
   const auto r = exp.run(w);
   EXPECT_EQ(r.verify_failures, 0u);
-  EXPECT_GT(r.cache_evictions, 0u);
+  EXPECT_GT(r.cache.evictions, 0u);
 }
 
 }  // namespace

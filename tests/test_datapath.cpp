@@ -275,19 +275,19 @@ TEST(DatapathE2E, AllStagesVerifyCleanOnNarrowLayout) {
   const auto r = exp.run(datapath_spec(narrow_attrs()));
   EXPECT_EQ(r.verify_failures, 0u);
   EXPECT_EQ(r.total_bytes, 8ull * 512 * 1024 * 2);
-  EXPECT_GT(r.coalesced_rpcs, 0u);
-  EXPECT_GT(r.coalesced_extents, r.coalesced_rpcs);  // narrow: >1 extent/RPC
+  EXPECT_GT(r.rpc.coalesced_rpcs, 0u);
+  EXPECT_GT(r.rpc.coalesced_extents, r.rpc.coalesced_rpcs);  // narrow: >1 extent/RPC
   EXPECT_GT(r.server_batch_sweeps, 0u);
   EXPECT_GE(r.server_batched_extents, r.server_batch_sweeps);
   EXPECT_GT(r.mesh_segments, 0u);
-  EXPECT_GT(r.stripe_map_refreshes, 0u);
+  EXPECT_GT(r.rpc.stripe_map_refreshes, 0u);
 }
 
 TEST(DatapathE2E, AllStagesVerifyCleanOnWideLayout) {
   workload::Experiment exp(stages_on(16 * 1024, true, true));
   const auto r = exp.run(datapath_spec(wide_attrs()));
   EXPECT_EQ(r.verify_failures, 0u);
-  EXPECT_GT(r.coalesced_rpcs, 0u);
+  EXPECT_GT(r.rpc.coalesced_rpcs, 0u);
   EXPECT_GT(r.server_batch_sweeps, 0u);
 }
 
@@ -314,7 +314,7 @@ TEST(DatapathE2E, CoalescedMatchesLegacyByteForByte) {
   EXPECT_EQ(legacy.verify_failures, 0u);
   EXPECT_EQ(merged.verify_failures, 0u);
   EXPECT_EQ(legacy.total_bytes, merged.total_bytes);
-  EXPECT_LT(merged.data_rpcs, legacy.data_rpcs);
+  EXPECT_LT(merged.rpc.data_rpcs, legacy.rpc.data_rpcs);
 }
 
 TEST(DatapathE2E, StripeMapEpochInvalidatesAcrossCrash) {
@@ -326,7 +326,7 @@ TEST(DatapathE2E, StripeMapEpochInvalidatesAcrossCrash) {
   EXPECT_EQ(crashed.total_bytes, healthy.total_bytes);
   // The crash and the restore each bump the topology epoch; clients must
   // reload their cached stripe maps instead of trusting stale ones.
-  EXPECT_GT(crashed.stripe_map_refreshes, healthy.stripe_map_refreshes);
+  EXPECT_GT(crashed.rpc.stripe_map_refreshes, healthy.rpc.stripe_map_refreshes);
 }
 
 TEST(DatapathE2E, DegradedRaidReconstructsThroughCoalescedBatches) {

@@ -222,8 +222,8 @@ TEST(FaultRecovery, TokenCrashReplayIsDeterministicAcrossRuns) {
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_EQ(a.verify_failures, 0u);
-  EXPECT_EQ(a.token_revocations, b.token_revocations);
-  EXPECT_EQ(a.wb_flush_ops, b.wb_flush_ops);
+  EXPECT_EQ(a.token_cache.revocations, b.token_cache.revocations);
+  EXPECT_EQ(a.token_cache.flush_ops, b.token_cache.flush_ops);
 }
 
 TEST(FaultRecovery, TokenWriteChaosSeedsReplayDeterministically) {

@@ -358,9 +358,9 @@ TEST(WriteWorkload, CheckpointOwnSlotsVerifiesClean) {
   EXPECT_EQ(r.writes, 16u);
   EXPECT_EQ(r.bytes_written, 16u * spec.request_size);
   EXPECT_EQ(r.reads, 16u);  // each record cross-checked by a peer
-  EXPECT_GT(r.token_rpcs, 0u);
-  EXPECT_GT(r.wb_writes, 0u);
-  EXPECT_GT(r.wb_flush_ops, 0u);
+  EXPECT_GT(r.rpc.token_rpcs, 0u);
+  EXPECT_GT(r.token_cache.wb_writes, 0u);
+  EXPECT_GT(r.token_cache.flush_ops, 0u);
 }
 
 TEST(WriteWorkload, CheckpointConflictingIsSequentiallyConsistent) {
@@ -371,7 +371,7 @@ TEST(WriteWorkload, CheckpointConflictingIsSequentiallyConsistent) {
   spec.conflicting = true;
   const auto r = run_write_workload(spec);
   EXPECT_EQ(r.verify_failures, 0u) << "a conflicting-range record was torn";
-  EXPECT_GT(r.token_revocations, 0u);
+  EXPECT_GT(r.token_cache.revocations, 0u);
 }
 
 TEST(WriteWorkload, ProducerConsumerCoherenceViaRevocation) {
@@ -383,8 +383,8 @@ TEST(WriteWorkload, ProducerConsumerCoherenceViaRevocation) {
   EXPECT_EQ(r.verify_failures, 0u);
   // The producer never fsyncs: every record the consumer saw was pushed
   // out by a revocation flush, not a volunteer flush.
-  EXPECT_EQ(r.wb_revocation_flushes, 6u);
-  EXPECT_EQ(r.wb_fsync_flushes, 0u);
+  EXPECT_EQ(r.token_cache.revocation_flushes, 6u);
+  EXPECT_EQ(r.token_cache.fsync_flushes, 0u);
   EXPECT_EQ(r.reads, 6u);
 }
 
@@ -398,7 +398,7 @@ TEST(WriteWorkload, MixedTenancyRunsClean) {
   EXPECT_EQ(r.faults.app_errors, 0u);
   EXPECT_GT(r.writes, 0u);
   EXPECT_GT(r.reads, 0u);
-  EXPECT_GT(r.token_rpcs, 0u);
+  EXPECT_GT(r.rpc.token_rpcs, 0u);
 }
 
 TEST(WriteWorkload, DeterministicDigests) {

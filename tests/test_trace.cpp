@@ -114,12 +114,12 @@ TEST(TraceContent, RpcSpansPartitionTheRpcCounters) {
   // Every ++counter site emits exactly one span of the matching class; the
   // coalesced class splits out of data_rpcs exactly like the report does.
   EXPECT_EQ(begins(trace::code::kRpcData) + begins(trace::code::kRpcCoalesced),
-            r.data_rpcs);
-  EXPECT_EQ(begins(trace::code::kRpcCoalesced), r.coalesced_rpcs);
-  EXPECT_EQ(begins(trace::code::kRpcMetadata), r.metadata_rpcs);
-  EXPECT_EQ(begins(trace::code::kRpcPointer), r.pointer_rpcs);
-  EXPECT_GT(r.data_rpcs, 0u);
-  EXPECT_GT(r.pointer_rpcs, 0u);  // M_UNIX moves the shared pointer
+            r.rpc.data_rpcs);
+  EXPECT_EQ(begins(trace::code::kRpcCoalesced), r.rpc.coalesced_rpcs);
+  EXPECT_EQ(begins(trace::code::kRpcMetadata), r.rpc.metadata_rpcs);
+  EXPECT_EQ(begins(trace::code::kRpcPointer), r.rpc.pointer_rpcs);
+  EXPECT_GT(r.rpc.data_rpcs, 0u);
+  EXPECT_GT(r.rpc.pointer_rpcs, 0u);  // M_UNIX moves the shared pointer
 
   // Healthy run: every span that begins also ends, and async ids pair 1:1.
   EXPECT_EQ(count(sink, TraceTrack::kRpc, TraceKind::kSpanBegin),
@@ -143,10 +143,10 @@ TEST(TraceContent, CoalescedRunTagsCoalescedSpans) {
   Experiment exp(m);
   TraceSink sink;
   const ExperimentResult r = exp.run(golden_record_spec(), &sink);
-  EXPECT_GT(r.coalesced_rpcs, 0u);
+  EXPECT_GT(r.rpc.coalesced_rpcs, 0u);
   EXPECT_EQ(count(sink, TraceTrack::kRpc, TraceKind::kSpanBegin,
                   trace::code::kRpcCoalesced),
-            r.coalesced_rpcs);
+            r.rpc.coalesced_rpcs);
 }
 
 TEST(TraceContent, DiskAndPrefetchTracksArePopulated) {
@@ -272,7 +272,7 @@ TEST(TraceMetricsTest, ComputedFromTheSameRecordsAsTheReport) {
   EXPECT_LE(disk.peak, 1.0 + 1e-9);
   // The data-RPC latency histogram covers every data RPC.
   const auto& lat = m.rpc[trace::code::kRpcData];
-  EXPECT_EQ(lat.count, r.data_rpcs);
+  EXPECT_EQ(lat.count, r.rpc.data_rpcs);
   EXPECT_GT(lat.p50, 0.0);
   EXPECT_LE(lat.p50, lat.p95);
   EXPECT_LE(lat.p95, lat.p99);

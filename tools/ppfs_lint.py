@@ -667,9 +667,9 @@ def collect_void_decls(toks) -> set:
     """Names this file declares with a plain `void` return.
 
     The Task vocabulary is a union across the whole tree, so a test bed
-    declaring its own `void populate(...)` must not inherit the
-    Task-returning `populate` from src/workload — a file-local non-Task
-    declaration shadows the global name for that file only.
+    declaring its own `void populate(...)` must not inherit a Task-returning
+    `populate` declared elsewhere — a file-local non-Task declaration
+    shadows the global name for that file only.
     """
     names = set()
     for i in range(len(toks) - 2):

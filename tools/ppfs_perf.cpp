@@ -562,7 +562,7 @@ int main(int argc, char** argv) {
     const ScaleRow& row = kScaleRows[i];
     if (args.quick && row.full_only) continue;
     const double t0 = now_seconds();
-    workload::OpenArrivalResult r;
+    workload::ExperimentResult r;
     try {
       r = workload::run_open_arrival(scale_machine(row), scale_spec(row, args.quick));
     } catch (const std::exception& e) {
@@ -572,14 +572,15 @@ int main(int argc, char** argv) {
     }
     const double secs = now_seconds() - t0;
     const double eps = secs > 0 ? static_cast<double>(r.events_dispatched) / secs : 0;
+    const std::uint64_t completed = r.reads + r.writes;
     scale_largest = &row;
     std::printf("scale   %-10s %9llu reads  %9.0f events/s  %6.1f B/event  p95 %.3fs\n",
-                row.name, (unsigned long long)r.completed, eps, r.bytes_per_event,
-                r.latencies.percentile(95));
-    if (r.completed != r.issued || r.app_errors != 0) {
+                row.name, (unsigned long long)completed, eps, r.bytes_per_event,
+                r.read_latencies.percentile(95));
+    if (completed != r.issued || r.faults.app_errors != 0) {
       std::fprintf(stderr, "ppfs_perf: scale row %s lost requests (%llu/%llu, %llu errors)\n",
-                   row.name, (unsigned long long)r.completed,
-                   (unsigned long long)r.issued, (unsigned long long)r.app_errors);
+                   row.name, (unsigned long long)completed,
+                   (unsigned long long)r.issued, (unsigned long long)r.faults.app_errors);
       scale_ok = false;
     }
     if (args.min_scale_events_per_sec > 0 && eps < args.min_scale_events_per_sec) {
@@ -598,15 +599,15 @@ int main(int argc, char** argv) {
         .field("ncompute", row.ncompute)
         .field("nio", row.nio)
         .field("issued", r.issued)
-        .field("completed", r.completed)
+        .field("completed", completed)
         .field("backlogged", r.backlogged)
         .field("events", r.events_dispatched)
         .field("events_per_sec", eps)
         .field("bytes_per_event", r.bytes_per_event)
         .field("peak_pending_events", r.peak_pending_events)
         .field("machine_state_bytes", r.machine_state_bytes)
-        .field("latency_p50", r.latencies.median())
-        .field("latency_p95", r.latencies.percentile(95))
+        .field("latency_p50", r.read_latencies.median())
+        .field("latency_p95", r.read_latencies.percentile(95))
         .field("digest", fmt_digest(r.digest))
         .field("seconds", secs);
     scale_rows.add(o);
@@ -690,11 +691,11 @@ int main(int argc, char** argv) {
       jrow.field("writers", writers)
           .field("write_bw_mbs", r.observed_write_bw_mbs)
           .field("bytes_written", r.bytes_written)
-          .field("token_rpcs", r.token_rpcs)
-          .field("token_local_grants", r.token_local_grants)
-          .field("token_revocations", r.token_revocations)
-          .field("wb_flush_ops", r.wb_flush_ops)
-          .field("wb_flushed_bytes", r.wb_flushed_bytes)
+          .field("token_rpcs", r.rpc.token_rpcs)
+          .field("token_local_grants", r.token_cache.local_grants)
+          .field("token_revocations", r.token_cache.revocations)
+          .field("wb_flush_ops", r.token_cache.flush_ops)
+          .field("wb_flushed_bytes", r.token_cache.flushed_bytes)
           .field("events", r.events_dispatched)
           .field("digest", fmt_digest(r.digest))
           .field("verify_failures", r.verify_failures)

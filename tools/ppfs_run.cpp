@@ -19,6 +19,17 @@ using namespace ppfs::workload;
 
 namespace {
 
+void print_footprint_and_verification(const ExperimentResult& r) {
+  std::printf("  footprint         peak-pending=%llu queue=%s arena=%s (%.2f B/event)\n",
+              (unsigned long long)r.peak_pending_events,
+              fmt_bytes(r.event_queue_bytes).c_str(),
+              fmt_bytes(r.frame_arena_bytes).c_str(), r.bytes_per_event);
+  if (r.spec.verify) {
+    std::printf("  verification: %s\n",
+                r.verify_failures == 0 ? "all bytes correct" : "FAILURES DETECTED");
+  }
+}
+
 void print_result(const char* label, const ExperimentResult& r) {
   std::printf("%-16s reads=%llu bytes=%s wall=%s\n", label,
               (unsigned long long)r.reads, fmt_bytes(r.total_bytes).c_str(),
@@ -30,14 +41,7 @@ void print_result(const char* label, const ExperimentResult& r) {
   const auto& lat = r.read_latencies;  // streaming sketch: percentile() is const
   std::printf("  read latency      p50 %s  p95 %s  max %s\n", fmt_time(lat.median()).c_str(),
               fmt_time(lat.percentile(95)).c_str(), fmt_time(lat.max()).c_str());
-  std::printf("  footprint         peak-pending=%llu queue=%s arena=%s (%.2f B/event)\n",
-              (unsigned long long)r.peak_pending_events,
-              fmt_bytes(r.event_queue_bytes).c_str(),
-              fmt_bytes(r.frame_arena_bytes).c_str(), r.bytes_per_event);
-  if (r.spec.verify) {
-    std::printf("  verification: %s\n",
-                r.verify_failures == 0 ? "all bytes correct" : "FAILURES DETECTED");
-  }
+  print_footprint_and_verification(r);
   if (r.prefetch.issued > 0 || r.spec.prefetch) {
     const auto& p = r.prefetch;
     std::printf("  prefetch: issued=%llu ready=%llu in-flight=%llu miss=%llu stale=%llu "
@@ -69,13 +73,13 @@ void print_result(const char* label, const ExperimentResult& r) {
       std::printf("\n");
     }
   }
-  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu", (unsigned long long)r.data_rpcs,
-              (unsigned long long)r.metadata_rpcs, (unsigned long long)r.pointer_rpcs);
-  if (r.coalesced_rpcs > 0) {
+  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu", (unsigned long long)r.rpc.data_rpcs,
+              (unsigned long long)r.rpc.metadata_rpcs, (unsigned long long)r.rpc.pointer_rpcs);
+  if (r.rpc.coalesced_rpcs > 0) {
     std::printf(" coalesced=%llu (%.1f extents/rpc, %llu map refreshes)",
-                (unsigned long long)r.coalesced_rpcs,
-                (double)r.coalesced_extents / (double)r.coalesced_rpcs,
-                (unsigned long long)r.stripe_map_refreshes);
+                (unsigned long long)r.rpc.coalesced_rpcs,
+                (double)r.rpc.coalesced_extents / (double)r.rpc.coalesced_rpcs,
+                (unsigned long long)r.rpc.stripe_map_refreshes);
   }
   std::printf("\n");
   if (r.mesh_segmented_messages > 0) {
@@ -109,25 +113,23 @@ void print_result(const char* label, const ExperimentResult& r) {
                   (unsigned long long)f.stale_epoch_discards);
     }
   }
-  if (r.cache_lookups > 0 || r.cache_inserts > 0 || r.cache_recoveries > 0) {
+  if (r.cache.lookups > 0 || r.cache.inserts > 0 || r.cache.recoveries > 0) {
     std::printf("  cache tier: lookups=%llu hits=%llu (%.1f%%) inserts=%llu "
                 "evictions=%llu journal-flushes=%llu\n",
-                (unsigned long long)r.cache_lookups, (unsigned long long)r.cache_hits,
-                r.cache_lookups
-                    ? 100.0 * (double)r.cache_hits / (double)r.cache_lookups
-                    : 0.0,
-                (unsigned long long)r.cache_inserts,
-                (unsigned long long)r.cache_evictions,
-                (unsigned long long)r.cache_journal_flushes);
-    if (r.cache_recoveries > 0) {
+                (unsigned long long)r.cache.lookups, (unsigned long long)r.cache.hits,
+                r.cache.hit_ratio() * 100.0,
+                (unsigned long long)r.cache.inserts,
+                (unsigned long long)r.cache.evictions,
+                (unsigned long long)r.cache.journal_flushes);
+    if (r.cache.recoveries > 0) {
       std::printf("  tier recovery: replays=%llu recovery-time=%.3fms blocks=%llu "
                   "torn-dropped=%llu stale-dropped=%llu warm-hit=%.1f%%\n",
-                  (unsigned long long)r.cache_recoveries,
-                  r.cache_recovery_time * 1e3,
-                  (unsigned long long)r.cache_recovered_blocks,
-                  (unsigned long long)r.cache_torn_dropped,
-                  (unsigned long long)r.cache_stale_dropped,
-                  r.cache_warm_hit_ratio * 100.0);
+                  (unsigned long long)r.cache.recoveries,
+                  r.cache.total_recovery_time * 1e3,
+                  (unsigned long long)r.cache.recovered_blocks,
+                  (unsigned long long)r.cache.torn_entries_dropped,
+                  (unsigned long long)r.cache.stale_entries_dropped,
+                  r.cache.warm_hit_ratio() * 100.0);
     }
   }
 }
@@ -142,36 +144,26 @@ void print_write_result(const char* label, const ExperimentResult& r) {
                 r.observed_write_bw_mbs, fmt_time(r.max_node_write_time).c_str());
   }
   std::printf("  wall-clock  B/W   %8.2f MB/s\n", r.wall_bw_mbs);
+  const auto& tc = r.token_cache;
   std::printf("  tokens: rpcs=%llu local-grants=%llu grants=%llu revocations=%llu "
               "splits=%llu invalidations=%llu\n",
-              (unsigned long long)r.token_rpcs, (unsigned long long)r.token_local_grants,
-              (unsigned long long)r.token_grants, (unsigned long long)r.token_revocations,
-              (unsigned long long)r.token_splits,
-              (unsigned long long)r.token_invalidations);
+              (unsigned long long)r.rpc.token_rpcs, (unsigned long long)tc.local_grants,
+              (unsigned long long)r.token_grants, (unsigned long long)tc.revocations,
+              (unsigned long long)r.token_splits, (unsigned long long)tc.invalidations);
   std::printf("  write-back: buffered=%llu read-hits=%llu flushes=%llu "
               "(revoke=%llu fsync=%llu evict=%llu) flushed=%s peak-dirty=%s\n",
-              (unsigned long long)r.wb_writes, (unsigned long long)r.wb_read_hits,
-              (unsigned long long)r.wb_flush_ops,
-              (unsigned long long)r.wb_revocation_flushes,
-              (unsigned long long)r.wb_fsync_flushes,
-              (unsigned long long)r.wb_capacity_evictions,
-              fmt_bytes(r.wb_flushed_bytes).c_str(),
-              fmt_bytes(r.wb_peak_dirty_bytes).c_str());
+              (unsigned long long)tc.wb_writes, (unsigned long long)tc.wb_read_hits,
+              (unsigned long long)tc.flush_ops, (unsigned long long)tc.revocation_flushes,
+              (unsigned long long)tc.fsync_flushes, (unsigned long long)tc.capacity_evictions,
+              fmt_bytes(tc.flushed_bytes).c_str(), fmt_bytes(tc.peak_dirty_bytes).c_str());
   std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu",
-              (unsigned long long)r.data_rpcs, (unsigned long long)r.metadata_rpcs,
-              (unsigned long long)r.pointer_rpcs);
-  if (r.coalesced_rpcs > 0) {
-    std::printf(" coalesced=%llu", (unsigned long long)r.coalesced_rpcs);
+              (unsigned long long)r.rpc.data_rpcs, (unsigned long long)r.rpc.metadata_rpcs,
+              (unsigned long long)r.rpc.pointer_rpcs);
+  if (r.rpc.coalesced_rpcs > 0) {
+    std::printf(" coalesced=%llu", (unsigned long long)r.rpc.coalesced_rpcs);
   }
   std::printf("\n");
-  std::printf("  footprint         peak-pending=%llu queue=%s arena=%s (%.2f B/event)\n",
-              (unsigned long long)r.peak_pending_events,
-              fmt_bytes(r.event_queue_bytes).c_str(),
-              fmt_bytes(r.frame_arena_bytes).c_str(), r.bytes_per_event);
-  if (r.spec.verify) {
-    std::printf("  verification: %s\n",
-                r.verify_failures == 0 ? "all bytes correct" : "FAILURES DETECTED");
-  }
+  print_footprint_and_verification(r);
   if (!r.spec.faults.empty() || r.faults.any()) {
     const auto& f = r.faults;
     std::printf("  faults: injected=%llu retries=%llu down-waits=%llu timeouts=%llu "
@@ -182,18 +174,37 @@ void print_write_result(const char* label, const ExperimentResult& r) {
   }
 }
 
-/// --selfcheck for write workloads: identical spec twice, digests must match.
-bool selfcheck_write(const WriteWorkloadSpec& spec, const char* label) {
-  const auto r1 = run_write_workload(spec);
-  const auto r2 = run_write_workload(spec);
+/// SimCheck determinism self-check: two runs of the identical configuration
+/// on fresh machines must have bit-identical kernel digests (plus matching
+/// headline metrics — a digest collision hiding a divergence would still be
+/// caught by these). Returns true when the runs agree.
+bool selfcheck_pair(const char* label, const ExperimentResult& r1,
+                    const ExperimentResult& r2) {
   const bool ok = r1.digest == r2.digest && r1.events_dispatched == r2.events_dispatched &&
-                  r1.bytes_written == r2.bytes_written && r1.reads == r2.reads &&
-                  r1.wall_elapsed == r2.wall_elapsed;
+                  r1.total_bytes == r2.total_bytes && r1.bytes_written == r2.bytes_written &&
+                  r1.reads == r2.reads && r1.wall_elapsed == r2.wall_elapsed;
   std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", label,
               (unsigned long long)r1.digest, (unsigned long long)r2.digest,
               (unsigned long long)r1.events_dispatched,
               (unsigned long long)r2.events_dispatched, ok ? "IDENTICAL" : "DIVERGED");
   return ok;
+}
+
+/// True when the run ended with faults the stack could NOT absorb: a retry
+/// budget exhausted or a FaultError surfacing to application code.
+bool fault_gave_up(const ExperimentResult& r) {
+  return r.faults.terminal_errors > 0 || r.faults.app_errors > 0;
+}
+
+/// Exit status of a finished run: 1 on a verification failure, 3 on a
+/// fault give-up (so scripts and CI can gate on it), 0 otherwise.
+int exit_status(const ExperimentResult& r) {
+  if (r.verify_failures > 0) return 1;
+  if (!fault_gave_up(r)) return 0;
+  std::fprintf(stderr, "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
+               (unsigned long long)r.faults.terminal_errors,
+               (unsigned long long)r.faults.app_errors);
+  return 3;
 }
 
 int run_write_mode(const CliOptions& opt) {
@@ -207,44 +218,17 @@ int run_write_mode(const CliOptions& opt) {
     std::printf("faults:   %s\n\n", spec.faults.summary().c_str());
   }
   if (opt.selfcheck) {
-    const bool ok = selfcheck_write(spec, "write:");
+    const bool ok = selfcheck_pair("write:", run_write_workload(spec), run_write_workload(spec));
     std::printf("selfcheck: %s\n", ok ? "PASS" : "FAIL (nondeterminism detected)");
     return ok ? 0 : 1;
   }
   const ExperimentResult r = run_write_workload(spec);
   print_write_result("write:", r);
-  if (r.verify_failures > 0) return 1;
-  if (r.faults.terminal_errors > 0 || r.faults.app_errors > 0) {
-    std::fprintf(stderr, "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
-                 (unsigned long long)r.faults.terminal_errors,
-                 (unsigned long long)r.faults.app_errors);
-    return 3;
-  }
-  return 0;
+  return exit_status(r);
 }
 
-/// True when the run ended with faults the stack could NOT absorb: a retry
-/// budget exhausted or a FaultError surfacing to application code. Drives
-/// the exit status (3) so scripts and CI can gate on give-up.
-bool fault_gave_up(const ExperimentResult& r) {
-  return r.faults.terminal_errors > 0 || r.faults.app_errors > 0;
-}
-
-/// SimCheck determinism self-check: run the identical configuration twice
-/// on fresh machines and demand bit-identical kernel digests (plus matching
-/// headline metrics — a digest collision hiding a divergence would still be
-/// caught by these). Returns true when the runs agree.
 bool selfcheck_one(const Experiment& exp, const WorkloadSpec& w, const char* label) {
-  const auto r1 = exp.run(w);
-  const auto r2 = exp.run(w);
-  const bool ok = r1.digest == r2.digest && r1.events_dispatched == r2.events_dispatched &&
-                  r1.total_bytes == r2.total_bytes && r1.reads == r2.reads &&
-                  r1.wall_elapsed == r2.wall_elapsed;
-  std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", label,
-              (unsigned long long)r1.digest, (unsigned long long)r2.digest,
-              (unsigned long long)r1.events_dispatched,
-              (unsigned long long)r2.events_dispatched, ok ? "IDENTICAL" : "DIVERGED");
-  return ok;
+  return selfcheck_pair(label, exp.run(w), exp.run(w));
 }
 
 int run_selfcheck(const Experiment& exp, const CliOptions& opt) {
@@ -407,21 +391,13 @@ int main(int argc, char** argv) {
         throw;
       }
       print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
-      const bool gave_up = fault_gave_up(r);
       if (sinkp) {
-        dump_trace(sink, opt, gave_up);
+        dump_trace(sink, opt, fault_gave_up(r));
         std::printf("\n%s", trace::format_metrics(
                                 trace::compute_metrics(trace::snapshot(sink)))
                                 .c_str());
       }
-      if (r.verify_failures > 0) return 1;
-      if (gave_up) {
-        std::fprintf(stderr,
-                     "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
-                     (unsigned long long)r.faults.terminal_errors,
-                     (unsigned long long)r.faults.app_errors);
-        return 3;
-      }
+      return exit_status(r);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
