@@ -8,15 +8,9 @@
 //   $ ./balanced_matrix [compute_ms_per_block]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
-#include "hw/machine.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
-#include "prefetch/engine.hpp"
-#include "sim/simulation.hpp"
-#include "workload/generator.hpp"
+#include "workload/run.hpp"
 
 using namespace ppfs;
 
@@ -55,42 +49,18 @@ sim::Task<void> worker(sim::Simulation& sim, pfs::PfsClient& c, double compute_s
 }
 
 RunStats run_config(bool prefetch, double compute_s) {
-  sim::Simulation sim;
-  hw::Machine machine(sim, hw::MachineConfig::paragon(kRanks, 8));
-  pfs::PfsFileSystem fs(machine, pfs::PfsParams{});
-  fs.create("matrix", fs.default_attrs());
+  workload::Run run({.ncompute = kRanks}, kRanks);
+  run.fs().create("matrix", run.fs().default_attrs());
+  if (prefetch) run.attach_prefetchers(prefetch::PrefetchConfig{});
 
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  std::vector<std::unique_ptr<prefetch::PrefetchEngine>> engines;
-  for (int r = 0; r < kRanks; ++r) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, kRanks));
-    if (prefetch) {
-      engines.push_back(prefetch::attach_prefetcher(*clients[r], prefetch::PrefetchConfig{}));
-    }
-  }
-
-  // Load the matrix: kRanks * kIterations blocks.
-  bool loaded = false;
-  // ppfs-lint: allow(ref-across-await) referents are locals; sim.run() below blocks until done
-  sim.spawn([](pfs::PfsClient& c, bool& done) -> sim::Task<void> {
-    const int fd = co_await c.open("matrix", pfs::IoMode::kAsync);
-    std::vector<std::byte> chunk(1024 * 1024);
-    const sim::ByteCount total = kBlock * kRanks * kIterations;
-    for (sim::ByteCount off = 0; off < total; off += chunk.size()) {
-      workload::fill_pattern(3, off, chunk);
-      co_await c.write(fd, chunk);
-    }
-    c.close(fd);
-    done = true;
-  }(*clients[0], loaded));
-  sim.run();
-  if (!loaded) std::abort();
+  // Load the matrix (kRanks * kIterations blocks), patterned with tag 3.
+  run.populate({{0, "matrix", kBlock * kRanks * kIterations, 3}});
 
   std::vector<RunStats> stats(kRanks);
   for (int r = 0; r < kRanks; ++r) {
-    sim.spawn(worker(sim, *clients[r], compute_s, stats[r]));
+    run.sim().spawn(worker(run.sim(), run.client(r), compute_s, stats[r]));
   }
-  sim.run();
+  run.drain("matrix sweep");
 
   RunStats agg;
   for (const auto& s : stats) {

@@ -8,16 +8,9 @@
 //
 //   $ ./checkpoint
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "hw/machine.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
-#include "prefetch/engine.hpp"
-#include "sim/simulation.hpp"
-#include "sim/when_all.hpp"
-#include "workload/generator.hpp"
+#include "workload/run.hpp"
 
 using namespace ppfs;
 
@@ -53,19 +46,13 @@ sim::Task<void> worker(sim::Simulation& sim, pfs::PfsClient& c, bool async_ckpt,
 }
 
 double run_phase(bool async_ckpt) {
-  sim::Simulation sim;
-  hw::Machine machine(sim, hw::MachineConfig::paragon(kRanks, 8));
-  pfs::PfsFileSystem fs(machine, pfs::PfsParams{});
-  fs.create("ckpt", fs.default_attrs());
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  for (int r = 0; r < kRanks; ++r) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, kRanks));
-  }
+  workload::Run run({.ncompute = kRanks}, kRanks);
+  run.fs().create("ckpt", run.fs().default_attrs());
   std::vector<sim::SimTime> runtimes(kRanks);
   for (int r = 0; r < kRanks; ++r) {
-    sim.spawn(worker(sim, *clients[r], async_ckpt, runtimes[r]));
+    run.sim().spawn(worker(run.sim(), run.client(r), async_ckpt, runtimes[r]));
   }
-  sim.run();
+  run.drain("checkpoint");
   double worst = 0;
   for (auto t : runtimes) worst = std::max(worst, t);
   return worst;
@@ -73,22 +60,15 @@ double run_phase(bool async_ckpt) {
 
 double run_restart() {
   // Restart: read the final checkpoint back with prefetching.
-  sim::Simulation sim;
-  hw::Machine machine(sim, hw::MachineConfig::paragon(kRanks, 8));
-  pfs::PfsFileSystem fs(machine, pfs::PfsParams{});
-  fs.create("ckpt", fs.default_attrs());
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  std::vector<std::unique_ptr<prefetch::PrefetchEngine>> engines;
-  for (int r = 0; r < kRanks; ++r) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, kRanks));
-    engines.push_back(prefetch::attach_prefetcher(*clients[r], prefetch::PrefetchConfig{}));
-  }
+  workload::Run run({.ncompute = kRanks}, kRanks);
+  run.fs().create("ckpt", run.fs().default_attrs());
+  run.attach_prefetchers(prefetch::PrefetchConfig{});
   // Write the checkpoint series, then replay a staged restore (read +
   // per-block rebuild work, the balanced pattern).
   std::vector<sim::SimTime> runtimes(kRanks);
   for (int r = 0; r < kRanks; ++r) {
-    // ppfs-lint: allow(ref-across-await) referents are locals; sim.run() below blocks until done
-    sim.spawn([](sim::Simulation& s, pfs::PfsClient& c, sim::SimTime& rt) -> sim::Task<void> {
+    // ppfs-lint: allow(ref-across-await) referents are locals; drain() below blocks until done
+    run.sim().spawn([](sim::Simulation& s, pfs::PfsClient& c, sim::SimTime& rt) -> sim::Task<void> {
       int fd = co_await c.open("ckpt", pfs::IoMode::kRecord);
       std::vector<std::byte> state(kStateBytes);
       for (int step = 0; step < kSteps; ++step) {
@@ -103,9 +83,9 @@ double run_restart() {
       }
       rt = s.now() - t0;
       c.close(fd);
-    }(sim, *clients[r], runtimes[r]));
+    }(run.sim(), run.client(r), runtimes[r]));
   }
-  sim.run();
+  run.drain("restart");
   double worst = 0;
   for (auto t : runtimes) worst = std::max(worst, t);
   return worst;
