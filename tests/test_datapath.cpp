@@ -19,6 +19,7 @@
 #include "ufs/block_store.hpp"
 #include "ufs/ufs.hpp"
 #include "workload/experiment.hpp"
+#include "workload/write_workload.hpp"
 
 namespace ppfs {
 namespace {
@@ -322,6 +323,8 @@ TEST(DatapathE2E, StripeMapEpochInvalidatesAcrossCrash) {
   const auto healthy = workload::Experiment(stages_on(0, true, false)).run(w);
   w.faults = fault::parse_plan("crash:io=0,at=0.05,outage=0.1");
   const auto crashed = workload::Experiment(stages_on(0, true, false)).run(w);
+  EXPECT_EQ(crashed.digest, 0x8e85009154e777cfULL);
+  EXPECT_EQ(crashed.events_dispatched, 3281u);
   EXPECT_EQ(crashed.verify_failures, 0u);
   EXPECT_EQ(crashed.total_bytes, healthy.total_bytes);
   // The crash and the restore each bump the topology epoch; clients must
@@ -336,9 +339,94 @@ TEST(DatapathE2E, DegradedRaidReconstructsThroughCoalescedBatches) {
   const auto r = exp.run(w);
   // Every sorted-sweep transfer runs against the degraded array: data still
   // reconstructs byte-exact from the surviving members + parity.
+  EXPECT_EQ(r.digest, 0x580698d1c16bdc20ULL);
+  EXPECT_EQ(r.events_dispatched, 2836u);
   EXPECT_EQ(r.verify_failures, 0u);
   EXPECT_EQ(r.total_bytes, 8ull * 512 * 1024 * 2);
   EXPECT_GT(r.server_batch_sweeps, 0u);
+}
+
+// --- pins: writes and retries through the coalesced / batched stages ------
+//
+// Kernel digests and event counts of the `ppfs_run --selfcheck` runs that
+// send writes, and RPC retries, through coalescing and server batching. A
+// change to how the client groups extents or how the server queues them
+// that moves one dispatched event shows here.
+
+workload::WriteWorkloadSpec checkpoint_spec(bool coalesce, bool batch, const char* faults) {
+  workload::WriteWorkloadSpec spec;  // ppfs_run --write-workload checkpoint
+  spec.machine = stages_on(0, coalesce, batch);
+  spec.writers = 4;
+  spec.rounds = 4;
+  if (*faults != '\0') spec.faults = fault::parse_plan(faults);
+  return spec;
+}
+
+workload::WorkloadSpec faulted_read(sim::ByteCount request, const char* faults) {
+  workload::WorkloadSpec w;  // ppfs_run --file 4M
+  w.request_size = request;
+  w.file_size = 4 * 1024 * 1024;
+  w.faults = fault::parse_plan(faults);
+  return w;
+}
+
+TEST(DatapathPins, CheckpointCoalescedBatched) {
+  const auto r = workload::run_write_workload(checkpoint_spec(true, true, ""));
+  EXPECT_EQ(r.digest, 0x71b9bdc6cb3a6479ULL);
+  EXPECT_EQ(r.events_dispatched, 947u);
+  EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(DatapathPins, ConflictingCheckpointCoalescedBatched) {
+  auto spec = checkpoint_spec(true, true, "");
+  spec.conflicting = true;
+  const auto r = workload::run_write_workload(spec);
+  EXPECT_EQ(r.digest, 0xaf327428f009740fULL);
+  EXPECT_EQ(r.events_dispatched, 935u);
+  EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(DatapathPins, CheckpointCrashCoalescedBatched) {
+  const auto r = workload::run_write_workload(
+      checkpoint_spec(true, true, "crash:io=1,at=0.02,outage=0.05"));
+  EXPECT_EQ(r.digest, 0xe813dc2dec6c1e86ULL);
+  EXPECT_EQ(r.events_dispatched, 987u);
+  EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(DatapathPins, CheckpointTransientBatched) {
+  const auto r = workload::run_write_workload(
+      checkpoint_spec(false, true, "transient:io=0,until=0.2,max=2"));
+  EXPECT_EQ(r.digest, 0x58d26bc93ce9e999ULL);
+  EXPECT_EQ(r.events_dispatched, 960u);
+  EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(DatapathPins, CrashReadCoalescedBatchedOneNode) {
+  auto w = faulted_read(512 * 1024, "crash:io=0,at=0.02,outage=0.05");
+  w.prefetch = true;
+  pfs::StripeAttrs one_node;  // --sgroup 1
+  w.attrs = one_node;
+  const auto r = workload::Experiment(stages_on(0, true, true)).run(w);
+  EXPECT_EQ(r.digest, 0xcf520a4f04523cebULL);
+  EXPECT_EQ(r.events_dispatched, 345u);
+  EXPECT_EQ(r.rpc.retries, 8u);
+}
+
+TEST(DatapathPins, TransientReadCoalesced) {
+  const auto r = workload::Experiment(stages_on(0, true, false))
+                     .run(faulted_read(512 * 1024, "transient:io=0,until=0.2,max=2"));
+  EXPECT_EQ(r.digest, 0x2a5d9cce1f9edf6fULL);
+  EXPECT_EQ(r.events_dispatched, 1836u);
+  EXPECT_GT(r.rpc.retries, 0u);
+}
+
+TEST(DatapathPins, TransientReadBatched) {
+  const auto r = workload::Experiment(stages_on(0, false, true))
+                     .run(faulted_read(64 * 1024, "transient:io=0,until=0.2,max=2"));
+  EXPECT_EQ(r.digest, 0xb2527a7641c94beeULL);
+  EXPECT_EQ(r.events_dispatched, 1651u);
+  EXPECT_GT(r.rpc.retries, 0u);
 }
 
 TEST(DatapathE2E, DefaultSpecKeepsEveryStageOff) {
