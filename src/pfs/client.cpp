@@ -188,128 +188,105 @@ sim::Task<void> PfsClient::seek(int fd, FileOffset off) {
   f.pointer = off;
 }
 
-sim::Task<void> PfsClient::fetch_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                                        std::span<std::byte> out, bool fastpath) {
+sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
+                                    std::span<std::byte> out, std::span<const std::byte> in,
+                                    bool fastpath) {
   const auto ctrl = fs_.params().control_message_bytes;
+  const bool coalesced = fs_.params().coalesce_rpcs;
+  const bool is_write = !in.empty();
   const hw::NodeId io_node = machine_.io_node(req.io_index);
   const sim::SimTime deadline =
       machine_.simulation().now() + fs_.params().retry.total_budget_s;
   ++rpc_stats_.data_rpcs;
+  if (coalesced) {
+    ++rpc_stats_.coalesced_rpcs;
+    rpc_stats_.coalesced_extents += req.extents.size();
+  }
   // The span covers the whole reliability envelope (all attempts). If the
   // retry budget runs out, rpc_recover throws and the guard's destructor
-  // closes the span with kFlagFault as the frame unwinds.
+  // closes the span with kFlagFault as the frame unwinds. Coalesced RPCs
+  // are tagged kRpcCoalesced (not kRpcData), so data spans + coalesced
+  // spans partition data_rpcs exactly the way the report's counters do.
   trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcData, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index));
+                            coalesced ? trace::code::kRpcCoalesced : trace::code::kRpcData,
+                            rank_, /*async=*/true, req.length,
+                            static_cast<std::uint64_t>(req.io_index),
+                            is_write ? trace::kFlagWrite : std::uint8_t{0});
+
+  // The contiguous wire image: each extent's stripe-file bytes back to back.
+  std::vector<std::byte> staging(req.length);
+  std::vector<PfsServer::ExtentOp> ops;
+  ops.reserve(req.extents.size());
+  ByteCount stage_off = 0;
+  for (const CoalescedExtent& e : req.extents) {
+    PfsServer::ExtentOp op;
+    op.ino = meta.stripe_inos[e.group_slot];
+    op.local_off = e.local_offset;
+    op.len = e.length;
+    const auto image = std::span<std::byte>(staging).subspan(stage_off, e.length);
+    if (is_write) {
+      op.in = image;
+    } else {
+      op.out = image;
+    }
+    ops.push_back(op);
+    stage_off += e.length;
+  }
+  // Copy between the wire image and the user buffer's file-space slices.
+  // The auditor cross-checks that exactly the bytes the wire carries (for
+  // a read, what the server reported moving) cross it: each merged range
+  // once, none lost, none duplicated — retries cannot double-count, as
+  // only the surviving attempt scatters.
+  const auto copy_pieces = [&](ByteCount expected) {
+    ByteCount copied = 0;
+    std::byte* image = staging.data();
+    for (std::size_t i = 0; i < req.extents.size(); ++i) {
+      const ByteCount avail = is_write ? ops[i].len : ops[i].got;
+      ByteCount cursor = 0;
+      for (const StripePiece& piece : req.extents[i].pieces) {
+        if (cursor >= avail) break;
+        const ByteCount n = std::min<ByteCount>(piece.length, avail - cursor);
+        if (is_write) {
+          std::memcpy(image + cursor, in.data() + (piece.file_offset - base), n);
+        } else {
+          std::memcpy(out.data() + (piece.file_offset - base), image + cursor, n);
+        }
+        cursor += n;
+        copied += n;
+      }
+      image += ops[i].len;
+    }
+    if (auto* a = machine_.simulation().auditor()) {
+      a->check_coalesce_conservation(machine_.simulation().now(), expected, copied);
+    }
+  };
+  if (is_write) copy_pieces(req.length);
 
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
     PfsServer& srv = fs_.server(req.io_index);
-    std::vector<std::byte> staging(req.length);
     ByteCount got = 0;
     fault::ErrorCause cause{};
     bool failed = false;
     try {
       ++rpc_stats_.attempts;
       // A reply is only trustworthy if the server did not crash while the
-      // request was in flight; reads are idempotent, so a lost reply is
-      // simply reissued.
+      // request was in flight. Reads are idempotent and a write resends
+      // the same image, so a lost reply is simply reissued.
       const std::uint64_t epoch = srv.crash_epoch();
 
-      // Request message to the I/O node.
-      co_await machine_.mesh().send(mesh_node_, io_node, ctrl);
-
-      // Server reads the stripe file (staging represents the wire image; on
-      // the fast path the real machine DMAs disk->network without a server
-      // copy, so no server CPU copy is charged beyond request handling).
-      got = co_await srv.read(meta.stripe_inos[req.group_slot], req.local_offset,
-                              req.length, staging, fastpath);
-
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " reply lost in crash");
-      }
-
-      // Data travels back to the compute node.
-      co_await machine_.mesh().send(io_node, mesh_node_, got > 0 ? got : ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(got, static_cast<std::uint64_t>(req.io_index));
-
-    // Scatter the contiguous stripe-file bytes into their file-space slots
-    // in the user buffer ("Fast Path reads data directly from the disks to
-    // the user's buffer" — no extra CPU copy is charged here).
-    ByteCount cursor = 0;
-    for (const StripePiece& piece : req.pieces) {
-      if (cursor >= got) break;
-      const ByteCount n = std::min<ByteCount>(piece.length, got - cursor);
-      std::memcpy(out.data() + (piece.file_offset - base), staging.data() + cursor, n);
-      cursor += n;
-    }
-    co_return;
-  }
-}
-
-sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest req,
-                                           FileOffset base, std::span<std::byte> out,
-                                           bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  ++rpc_stats_.coalesced_rpcs;
-  rpc_stats_.coalesced_extents += req.extents.size();
-  // Tagged kRpcCoalesced (not kRpcData), so data spans + coalesced spans
-  // partition data_rpcs exactly the way the report's counters do.
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcCoalesced, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index));
-
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    std::vector<std::byte> staging(req.length);
-    std::vector<PfsServer::ExtentOp> ops;
-    ops.reserve(req.extents.size());
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      PfsServer::ExtentOp op;
-      op.ino = meta.stripe_inos[e.group_slot];
-      op.local_off = e.local_offset;
-      op.len = e.length;
-      op.out = std::span<std::byte>(staging).subspan(stage_off, e.length);
-      ops.push_back(op);
-      stage_off += e.length;
-    }
-    ByteCount got = 0;
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // One control message carries the whole extent list out; one data
-      // reply carries every extent's bytes back.
-      co_await machine_.mesh().send(mesh_node_, io_node, ctrl);
-      co_await srv.read_batch(ops, fastpath);
+      // A read sends a control message and gets the data back; a write
+      // sends the data and gets an ack. On the fast path the real machine
+      // DMAs disk->network without a server copy, so no server CPU copy is
+      // charged beyond request handling.
+      co_await machine_.mesh().send(mesh_node_, io_node, is_write ? req.length : ctrl);
+      co_await srv.serve(ops, is_write, fastpath);
       for (const PfsServer::ExtentOp& op : ops) got += op.got;
       if (srv.crash_epoch() != epoch) {
         throw fault::FaultError(fault::ErrorCause::kNodeDown,
                                 "io" + std::to_string(req.io_index) +
-                                    " reply lost in crash");
+                                    (is_write ? " ack" : " reply") + " lost in crash");
       }
-      co_await machine_.mesh().send(io_node, mesh_node_, got > 0 ? got : ctrl);
+      co_await machine_.mesh().send(io_node, mesh_node_, !is_write && got > 0 ? got : ctrl);
     } catch (const fault::FaultError& e) {
       cause = e.cause();
       failed = true;
@@ -323,112 +300,10 @@ sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest r
       rpc_stats_.retried_ok += failures;
       if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
     }
-    rpc_span.end(got, req.extents.size());
-
-    // Scatter each extent's bytes into their file-space slots. The auditor
-    // cross-checks that the bytes the servers reported moved are exactly
-    // the bytes that land in the user buffer — the merged ranges arrive
-    // once each, none lost, none duplicated (retries cannot double-count:
-    // only the surviving attempt scatters).
-    ByteCount delivered = 0;
-    for (std::size_t i = 0; i < req.extents.size(); ++i) {
-      const CoalescedExtent& e = req.extents[i];
-      const std::span<const std::byte> src = ops[i].out;
-      ByteCount cursor = 0;
-      for (const StripePiece& piece : e.pieces) {
-        if (cursor >= ops[i].got) break;
-        const ByteCount n = std::min<ByteCount>(piece.length, ops[i].got - cursor);
-        std::memcpy(out.data() + (piece.file_offset - base), src.data() + cursor, n);
-        cursor += n;
-        delivered += n;
-      }
-    }
-    if (auto* a = machine_.simulation().auditor()) {
-      a->check_coalesce_conservation(machine_.simulation().now(), got, delivered);
-    }
-    co_return;
-  }
-}
-
-sim::Task<void> PfsClient::store_coalesced(PfsFileMeta& meta, CoalescedRequest req,
-                                           FileOffset base, std::span<const std::byte> in,
-                                           bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  ++rpc_stats_.coalesced_rpcs;
-  rpc_stats_.coalesced_extents += req.extents.size();
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcCoalesced, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index), trace::kFlagWrite);
-
-  // Gather every extent's file-space pieces into one contiguous wire image;
-  // the auditor confirms the image holds exactly the union of the merged
-  // ranges before it ever hits the wire.
-  std::vector<std::byte> staging(req.length);
-  ByteCount gathered = 0;
-  {
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      ByteCount cursor = 0;
-      for (const StripePiece& piece : e.pieces) {
-        std::memcpy(staging.data() + stage_off + cursor,
-                    in.data() + (piece.file_offset - base), piece.length);
-        cursor += piece.length;
-        gathered += piece.length;
-      }
-      stage_off += e.length;
-    }
-  }
-  if (auto* a = machine_.simulation().auditor()) {
-    a->check_coalesce_conservation(machine_.simulation().now(), req.length, gathered);
-  }
-
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    std::vector<PfsServer::ExtentOp> ops;
-    ops.reserve(req.extents.size());
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      PfsServer::ExtentOp op;
-      op.ino = meta.stripe_inos[e.group_slot];
-      op.local_off = e.local_offset;
-      op.len = e.length;
-      op.in = std::span<const std::byte>(staging).subspan(stage_off, e.length);
-      ops.push_back(op);
-      stage_off += e.length;
-    }
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // One data message carries every extent; one ack comes back.
-      co_await machine_.mesh().send(mesh_node_, io_node, req.length);
-      co_await srv.write_batch(ops, fastpath);
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " ack lost in crash");
-      }
-      co_await machine_.mesh().send(io_node, mesh_node_, ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(req.length, req.extents.size());
+    rpc_span.end(got, coalesced ? req.extents.size() : static_cast<std::uint64_t>(req.io_index));
+    // "Fast Path reads data directly from the disks to the user's buffer" —
+    // the scatter charges no extra CPU copy.
+    if (!is_write) copy_pieces(got);
     co_return;
   }
 }
@@ -482,6 +357,24 @@ sim::Task<void> PfsClient::rpc_recover(int io_index, fault::ErrorCause cause,
   co_await sim.delay(backoff);
 }
 
+sim::Task<void> PfsClient::transfer(PfsFileMeta& meta, FileOffset off, ByteCount len,
+                                    std::span<std::byte> out, std::span<const std::byte> in,
+                                    bool fastpath) {
+  const bool coalesce = fs_.params().coalesce_rpcs;
+  // The cached stripe map replaces per-operation metadata trips.
+  if (coalesce) co_await ensure_stripe_map(meta);
+  auto requests = coalesce_by_io(meta.layout.map(off, len), /*merge=*/coalesce);
+  std::vector<sim::Task<void>> parts;
+  parts.reserve(requests.size());
+  for (auto& req : requests) {
+    parts.push_back(data_rpc(meta, std::move(req), off, out, in, fastpath));
+  }
+  // Propagating variant: a terminal fault in one RPC surfaces here as a
+  // typed error after the sibling transfers settle, instead of killing the
+  // whole simulation.
+  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+}
+
 sim::Task<ByteCount> PfsClient::read_at(int fd, FileOffset off, ByteCount len,
                                         std::span<std::byte> out, bool fastpath) {
   OpenFile& f = fstate(fd);
@@ -490,93 +383,75 @@ sim::Task<ByteCount> PfsClient::read_at(int fd, FileOffset off, ByteCount len,
   if (off >= meta.size || len == 0) co_return 0;
   len = std::min<ByteCount>(len, meta.size - off);
   assert(out.size() >= len);
-
-  if (fs_.params().coalesce_rpcs) {
-    // Extents bound for the same I/O node merge into one scatter-gather
-    // RPC; the cached stripe map replaces per-operation metadata trips.
-    co_await ensure_stripe_map(meta);
-    auto coalesced = coalesce_by_io(meta.layout.map(off, len));
-    std::vector<sim::Task<void>> parts;
-    parts.reserve(coalesced.size());
-    for (auto& req : coalesced) {
-      parts.push_back(fetch_coalesced(meta, std::move(req), off, out, fastpath));
-    }
-    co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-    co_return len;
-  }
-
-  auto requests = meta.layout.map(off, len);
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(requests.size());
-  for (auto& req : requests) {
-    parts.push_back(fetch_extent(meta, std::move(req), off, out, fastpath));
-  }
-  // Propagating variant: a terminal fault in one extent surfaces here as a
-  // typed error after the sibling transfers settle, instead of killing the
-  // whole simulation.
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+  co_await transfer(meta, off, len, out, {}, fastpath);
   co_return len;
+}
+
+sim::Task<PfsClient::Claim> PfsClient::claim_pointer(int fd, ByteCount len, bool is_write) {
+  OpenFile& f = fstate(fd);
+  if (f.mode == IoMode::kAsync || f.mode == IoMode::kRecord) {
+    co_return Claim{next_read_offset(fd, len), {}};
+  }
+  ++rpc_stats_.pointer_rpcs;
+  const auto ctrl = fs_.params().control_message_bytes;
+  trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
+                            trace::code::kRpcPointer, rank_, /*async=*/true, len, 0,
+                            is_write ? trace::kFlagWrite : std::uint8_t{0});
+  Claim claim;
+  co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(), ctrl);
+  switch (f.mode) {
+    case IoMode::kUnix:
+      // Atomicity: take the per-file token for the whole transfer.
+      claim.lock = co_await fs_.pointers().acquire_file_lock(f.file);
+      break;
+    case IoMode::kLog:
+      // M_LOG is an atomic mode: the claim AND the transfer are serialized
+      // first-come-first-served, like a log append.
+      claim.lock = co_await fs_.pointers().acquire_file_lock(f.file);
+      claim.offset = co_await fs_.pointers().fetch_and_add(f.file, len);
+      break;
+    default:  // M_SYNC, M_GLOBAL: gang call
+      claim.offset = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
+                                                       f.mode == IoMode::kGlobal);
+      break;
+  }
+  co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_, ctrl);
+  if (f.mode == IoMode::kUnix) claim.offset = f.pointer;
+  ptr_span.end(len);
+  co_return claim;
+}
+
+void PfsClient::advance_pointer(OpenFile& f, FileOffset off, ByteCount len, ByteCount moved) {
+  switch (f.mode) {
+    case IoMode::kRecord:  // all nodes advance identically
+      f.pointer += static_cast<FileOffset>(nprocs_) * len;
+      break;
+    case IoMode::kGlobal:  // every rank transferred the same range
+      f.pointer = off + len;
+      break;
+    default:
+      // Informational for M_LOG/M_SYNC: the shared pointer is authoritative.
+      f.pointer = off + moved;
+      break;
+  }
+}
+
+sim::Task<void> PfsClient::release_pointer(OpenFile& f, Claim claim, ByteCount len,
+                                           ByteCount moved) {
+  advance_pointer(f, claim.offset, len, moved);
+  if (claim.lock.owns()) {
+    claim.lock.release();
+    co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
+                                  fs_.params().control_message_bytes);
+  }
 }
 
 sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
   OpenFile& f = fstate(fd);
   const ByteCount len = out.size();
   const sim::SimTime start = machine_.simulation().now();
-
-  // --- offset resolution / coordination, per I/O mode ---
-  FileOffset off = 0;
-  sim::ResourceGuard unix_lock;
-  switch (f.mode) {
-    case IoMode::kUnix: {
-      // Atomicity: take the per-file token for the whole transfer.
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      off = f.pointer;
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kAsync:
-      off = f.pointer;
-      break;
-    case IoMode::kRecord:
-      off = f.pointer + static_cast<FileOffset>(rank_) * len;
-      break;
-    case IoMode::kLog: {
-      // M_LOG is an atomic mode: the claim AND the transfer are serialized
-      // first-come-first-served, like a log append.
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      off = co_await fs_.pointers().fetch_and_add(f.file, len);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kSync:
-    case IoMode::kGlobal: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      off = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
-                                              f.mode == IoMode::kGlobal);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-  }
+  Claim claim = co_await claim_pointer(fd, len, /*is_write=*/false);
+  const FileOffset off = claim.offset;
 
   // --- coherence: a token-mode read first secures a read token, which
   // forces any conflicting writer to flush-before-ack ---
@@ -614,91 +489,13 @@ sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
     }
   }
 
-  // --- pointer advance ---
-  switch (f.mode) {
-    case IoMode::kRecord:
-      f.pointer += static_cast<FileOffset>(nprocs_) * len;
-      break;
-    case IoMode::kUnix:
-    case IoMode::kAsync:
-      f.pointer = off + got;
-      break;
-    case IoMode::kLog:
-    case IoMode::kSync:
-      f.pointer = off + got;  // informational; the shared pointer is authoritative
-      break;
-    case IoMode::kGlobal:
-      f.pointer = off + len;
-      break;
-  }
-  if (unix_lock.owns()) {
-    unix_lock.release();
-    co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                  fs_.params().control_message_bytes);
-  }
+  co_await release_pointer(f, std::move(claim), len, got);
   if (prefetcher_) co_await prefetcher_->after_read(fd, off, len);
 
   ++stats_.reads;
   stats_.bytes_read += got;
   stats_.read_time += machine_.simulation().now() - start;
   co_return got;
-}
-
-sim::Task<void> PfsClient::store_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                                        std::span<const std::byte> in, bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcData, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index), trace::kFlagWrite);
-
-  // Gather file-space pieces into the contiguous stripe-file image.
-  std::vector<std::byte> staging(req.length);
-  ByteCount cursor = 0;
-  for (const StripePiece& piece : req.pieces) {
-    std::memcpy(staging.data() + cursor, in.data() + (piece.file_offset - base), piece.length);
-    cursor += piece.length;
-  }
-
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      // Writes of the same staging image are idempotent, so an ack lost in
-      // a crash is handled by simply rewriting.
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // Data to the I/O node, then the server write, then the ack.
-      co_await machine_.mesh().send(mesh_node_, io_node, req.length);
-      co_await srv.write(meta.stripe_inos[req.group_slot], req.local_offset, staging,
-                         fastpath);
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " ack lost in crash");
-      }
-      co_await machine_.mesh().send(io_node, mesh_node_, ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(req.length, static_cast<std::uint64_t>(req.io_index));
-    co_return;
-  }
 }
 
 sim::Task<void> PfsClient::write_at(int fd, FileOffset off, std::span<const std::byte> in) {
@@ -711,27 +508,7 @@ sim::Task<void> PfsClient::write_at(int fd, FileOffset off, std::span<const std:
 sim::Task<void> PfsClient::store_range(PfsFileMeta& meta, FileOffset off,
                                        std::span<const std::byte> in) {
   if (in.empty()) co_return;
-
-  if (fs_.params().coalesce_rpcs) {
-    co_await ensure_stripe_map(meta);
-    auto coalesced = coalesce_by_io(meta.layout.map(off, in.size()));
-    std::vector<sim::Task<void>> parts;
-    parts.reserve(coalesced.size());
-    for (auto& req : coalesced) {
-      parts.push_back(store_coalesced(meta, std::move(req), off, in, /*fastpath=*/true));
-    }
-    co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-    meta.size = std::max<ByteCount>(meta.size, off + in.size());
-    co_return;
-  }
-
-  auto requests = meta.layout.map(off, in.size());
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(requests.size());
-  for (auto& req : requests) {
-    parts.push_back(store_extent(meta, std::move(req), off, in, /*fastpath=*/true));
-  }
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+  co_await transfer(meta, off, in.size(), {}, in, /*fastpath=*/true);
   meta.size = std::max<ByteCount>(meta.size, off + in.size());
 }
 
@@ -739,59 +516,8 @@ sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
   OpenFile& f = fstate(fd);
   const ByteCount len = in.size();
   const sim::SimTime start = machine_.simulation().now();
-
-  FileOffset off = 0;
-  sim::ResourceGuard unix_lock;
-  switch (f.mode) {
-    case IoMode::kUnix: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len,
-                                0, trace::kFlagWrite);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      off = f.pointer;
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kAsync:
-      off = f.pointer;
-      break;
-    case IoMode::kRecord:
-      off = f.pointer + static_cast<FileOffset>(rank_) * len;
-      break;
-    case IoMode::kLog: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len,
-                                0, trace::kFlagWrite);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      off = co_await fs_.pointers().fetch_and_add(f.file, len);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kSync:
-    case IoMode::kGlobal: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      off = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
-                                              f.mode == IoMode::kGlobal);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-  }
+  Claim claim = co_await claim_pointer(fd, len, /*is_write=*/true);
+  const FileOffset off = claim.offset;
 
   if (fs_.params().write_tokens) {
     // TokenWrite path: secure an exclusive byte-range token (revoking any
@@ -811,19 +537,7 @@ sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
     co_await write_at(fd, off, in);
   }
 
-  switch (f.mode) {
-    case IoMode::kRecord:
-      f.pointer += static_cast<FileOffset>(nprocs_) * len;
-      break;
-    default:
-      f.pointer = off + len;
-      break;
-  }
-  if (unix_lock.owns()) {
-    unix_lock.release();
-    co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                  fs_.params().control_message_bytes);
-  }
+  co_await release_pointer(f, std::move(claim), len, len);
 
   ++stats_.writes;
   stats_.bytes_written += len;
@@ -831,62 +545,40 @@ sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
   co_return len;
 }
 
-sim::Task<AsyncHandle> PfsClient::iread(int fd, std::span<std::byte> out) {
+sim::Task<AsyncHandle> PfsClient::post_async(int fd, AsyncHandle req) {
   OpenFile& f = fstate(fd);
-  const ByteCount len = out.size();
-  if (traits(f.mode).shared_pointer || f.mode == IoMode::kUnix) {
-    // The prototype's async path targets the locally-resolvable modes;
-    // coordinated modes would need the pointer RPC inside the ART.
-    if (f.mode != IoMode::kRecord && f.mode != IoMode::kAsync) {
-      throw std::logic_error("iread: unsupported I/O mode " +
-                             std::string(to_string(f.mode)));
-    }
+  // The prototype's async path targets the locally-resolvable modes;
+  // coordinated modes would need the pointer RPC inside the ART.
+  if (f.mode != IoMode::kRecord && f.mode != IoMode::kAsync) {
+    throw std::logic_error(std::string(req->is_write ? "iwrite" : "iread") +
+                           ": unsupported I/O mode " + std::string(to_string(f.mode)));
   }
 
   // "During the setup phase, the incoming request ... is allocated an
   // internal structure": charge the ART setup cost on the user thread.
   co_await cpu().compute(cpu().params().async_setup_overhead);
 
-  auto req = std::make_shared<AsyncRequest>(machine_.simulation());
   req->fd = fd;
-  req->length = len;
-  req->out = out;
   req->fastpath = f.fastpath;
-  if (f.mode == IoMode::kRecord) {
-    req->offset = f.pointer + static_cast<FileOffset>(rank_) * len;
-    f.pointer += static_cast<FileOffset>(nprocs_) * len;
-  } else {
-    req->offset = f.pointer;
-    f.pointer += len;
-  }
+  req->offset = next_read_offset(fd, req->length);
+  advance_pointer(f, req->offset, req->length, req->length);
   arts_.post(req);
   co_return req;
 }
 
-sim::Task<AsyncHandle> PfsClient::iwrite(int fd, std::span<const std::byte> in) {
-  OpenFile& f = fstate(fd);
-  const ByteCount len = in.size();
-  if (f.mode != IoMode::kRecord && f.mode != IoMode::kAsync) {
-    throw std::logic_error("iwrite: unsupported I/O mode " +
-                           std::string(to_string(f.mode)));
-  }
-  co_await cpu().compute(cpu().params().async_setup_overhead);
-
+sim::Task<AsyncHandle> PfsClient::iread(int fd, std::span<std::byte> out) {
   auto req = std::make_shared<AsyncRequest>(machine_.simulation());
-  req->fd = fd;
-  req->length = len;
+  req->length = out.size();
+  req->out = out;
+  return post_async(fd, std::move(req));
+}
+
+sim::Task<AsyncHandle> PfsClient::iwrite(int fd, std::span<const std::byte> in) {
+  auto req = std::make_shared<AsyncRequest>(machine_.simulation());
+  req->length = in.size();
   req->in = in;
   req->is_write = true;
-  req->fastpath = f.fastpath;
-  if (f.mode == IoMode::kRecord) {
-    req->offset = f.pointer + static_cast<FileOffset>(rank_) * len;
-    f.pointer += static_cast<FileOffset>(nprocs_) * len;
-  } else {
-    req->offset = f.pointer;
-    f.pointer += len;
-  }
-  arts_.post(req);
-  co_return req;
+  return post_async(fd, std::move(req));
 }
 
 sim::Task<ByteCount> PfsClient::iowait(AsyncHandle h) {

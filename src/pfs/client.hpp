@@ -35,6 +35,7 @@
 #include "pfs/io_mode.hpp"
 #include "pfs/token.hpp"
 #include "sim/random.hpp"
+#include "sim/resource.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
 
@@ -73,14 +74,14 @@ struct ClientStats {
   sim::SimTime write_time = 0;
 };
 
-/// Counters of the RPC reliability envelope wrapped around every
-/// fetch/store extent RPC (see fetch_extent): attempts, recovery behavior,
-/// and per-cause failure classification.
+/// Counters of the RPC reliability envelope wrapped around every data RPC
+/// (see PfsClient::data_rpc): attempts, recovery behavior, and per-cause
+/// failure classification.
 struct RpcStats {
   std::uint64_t attempts = 0;         // RPC attempts issued (incl. reissues)
   // Per-class RPC counters: without them the metadata node's control
   // traffic is invisible in the stats even though it is the hot spot.
-  std::uint64_t data_rpcs = 0;      // fetch/store extent RPCs (one per request)
+  std::uint64_t data_rpcs = 0;      // data RPCs (one per I/O node or per slot)
   std::uint64_t metadata_rpcs = 0;  // metadata-node round trips (open, seek, map)
   std::uint64_t pointer_rpcs = 0;   // pointer/lock/collective claims inside read/write
   std::uint64_t token_rpcs = 0;     // byte-range token acquisitions (TokenWrite)
@@ -220,22 +221,41 @@ class PfsClient : public TokenRevokeHandler {
   /// One control-message round trip to the metadata node.
   sim::Task<void> metadata_rpc();
 
-  /// Move one stripe extent: request message out, server read, data back,
-  /// scatter into the user buffer. Wrapped in the RPC reliability envelope:
+  /// A file offset claimed under the fd's I/O mode, with the per-file
+  /// lock M_UNIX and M_LOG hold across the transfer.
+  struct Claim {
+    FileOffset offset = 0;
+    sim::ResourceGuard lock;
+  };
+  /// Where a synchronous read or write of `len` bytes lands: resolved
+  /// locally for M_ASYNC/M_RECORD, by a pointer RPC to the metadata node
+  /// for the coordinated modes.
+  sim::Task<Claim> claim_pointer(int fd, ByteCount len, bool is_write);
+  /// Move the fd's pointer past a transfer of `len` bytes at `off` that
+  /// moved `moved` bytes.
+  void advance_pointer(OpenFile& f, FileOffset off, ByteCount len, ByteCount moved);
+  /// Advance the pointer, then drop the claim's lock (one control message
+  /// to the metadata node).
+  sim::Task<void> release_pointer(OpenFile& f, Claim claim, ByteCount len, ByteCount moved);
+  /// The ART path shared by iread and iwrite: charge the setup, claim the
+  /// offset locally and advance the pointer at once, then queue `req`.
+  sim::Task<AsyncHandle> post_async(int fd, AsyncHandle req);
+
+  /// Move [off, off+len) between the user buffer and the I/O nodes — `out`
+  /// receives a read, `in` supplies a write. With coalescing on, extents
+  /// bound for the same I/O node ride one RPC; off, each stripe-group slot
+  /// is its own one-extent RPC. The RPCs run concurrently.
+  sim::Task<void> transfer(PfsFileMeta& meta, FileOffset off, ByteCount len,
+                           std::span<std::byte> out, std::span<const std::byte> in,
+                           bool fastpath);
+  /// One data RPC: request message out, the server's extent service, reply
+  /// back; stripe-file bytes are gathered from / scattered into the user
+  /// buffer (file offset `base`). Wrapped in the RPC reliability envelope:
   /// bounded retries with backoff, recovery waits on a down node, and a
   /// per-request deadline; exhausting the budget throws FaultError.
-  sim::Task<void> fetch_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                               std::span<std::byte> out, bool fastpath);
-  sim::Task<void> store_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                               std::span<const std::byte> in, bool fastpath);
-
-  /// Scatter-gather variants (PfsParams::coalesce_rpcs): every extent bound
-  /// for one I/O node rides one RPC — one control round-trip, one server
-  /// request-handling charge, one data reply. Same reliability envelope.
-  sim::Task<void> fetch_coalesced(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
-                                  std::span<std::byte> out, bool fastpath);
-  sim::Task<void> store_coalesced(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
-                                  std::span<const std::byte> in, bool fastpath);
+  sim::Task<void> data_rpc(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
+                           std::span<std::byte> out, std::span<const std::byte> in,
+                           bool fastpath);
 
   /// Per-file stripe-map cache (coalesced path only): the first operation
   /// on a file — and the first after any crash/restore bumps the mount's
@@ -280,8 +300,8 @@ class PfsClient : public TokenRevokeHandler {
   /// remainders.
   void drop_token_range(FileId file, TokenRange range);
 
-  /// The raw striped store path (mapping + extent/coalesced RPCs + size
-  /// update) — write_at's body, reused by the write-back flushes.
+  /// The raw striped store path (data RPCs + size update) — write_at's
+  /// body, reused by the write-back flushes.
   sim::Task<void> store_range(PfsFileMeta& meta, FileOffset off,
                               std::span<const std::byte> in);
   /// Flush dirty extents intersecting [begin, end), lowest offset first;

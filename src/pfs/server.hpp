@@ -5,10 +5,12 @@
 // are charged against the I/O node's processor, so many compute nodes
 // hammering one I/O node contend for its CPU as well as its disk.
 //
-// Data-path options (both default off; see DESIGN.md §8):
-//  - coalesce_rpcs: clients merge same-I/O-node extents into scatter-gather
-//    RPCs served by read_batch/write_batch — one request-handling charge
-//    and one control round-trip instead of one per extent.
+// Every data RPC arrives at serve() as a list of stripe-file extents; a
+// per-slot RPC is the one-extent case. The data-path options (both default
+// off; see DESIGN.md §8) only choose how extents are grouped and queued:
+//  - coalesce_rpcs: clients merge same-I/O-node extents into one
+//    scatter-gather RPC — one request-handling charge and one control
+//    round-trip instead of one per extent.
 //  - server_batch: extent service funnels through a per-node queue; a
 //    spawn-on-demand dispatcher drains it in physical (elevator-sweep)
 //    order, so concurrently-arriving requests become one disk sweep
@@ -70,17 +72,7 @@ class PfsServer {
   PfsServer(const PfsServer&) = delete;
   PfsServer& operator=(const PfsServer&) = delete;
 
-  /// Serve a read of a local stripe file. Charges server CPU, then runs
-  /// the UFS read (fast path when the request is aligned and the caller
-  /// asks for it).
-  sim::Task<ByteCount> read(ufs::InodeNum ino, FileOffset local_off, ByteCount len,
-                            std::span<std::byte> out, bool fastpath);
-
-  /// Serve a write of a local stripe file.
-  sim::Task<void> write(ufs::InodeNum ino, FileOffset local_off,
-                        std::span<const std::byte> in, bool fastpath);
-
-  /// One extent of a scatter-gather RPC.
+  /// One extent of a data RPC: a contiguous range of one stripe file.
   struct ExtentOp {
     ufs::InodeNum ino;
     FileOffset local_off = 0;
@@ -90,13 +82,12 @@ class PfsServer {
     ByteCount got = 0;              // bytes actually moved, filled by the server
   };
 
-  /// Serve every extent of one coalesced RPC: the request-handling CPU is
+  /// Serve every extent of one data RPC: the request-handling CPU is
   /// charged once for the whole RPC, then the extents proceed concurrently
   /// (through the batch queue when server_batch is on). Fills op.got per
   /// extent. A failed extent surfaces as FaultError after the siblings
   /// settle — the client retries the whole (idempotent) RPC.
-  sim::Task<void> read_batch(std::span<ExtentOp> ops, bool fastpath);
-  sim::Task<void> write_batch(std::span<ExtentOp> ops, bool fastpath);
+  sim::Task<void> serve(std::span<ExtentOp> ops, bool is_write, bool fastpath);
 
   ufs::Ufs& ufs() noexcept { return ufs_; }
   int io_index() const noexcept { return io_index_; }
@@ -137,30 +128,22 @@ class PfsServer {
   }
 
  private:
-  /// A queued extent awaiting the batch dispatcher. Lives in the enqueuing
+  /// A queued extent awaiting the batch dispatcher. Lives in the serving
   /// coroutine's frame until `done` fires.
   struct QueuedIo {
-    ufs::InodeNum ino;
-    FileOffset off = 0;
-    ByteCount len = 0;
-    std::span<std::byte> out;
-    std::span<const std::byte> in;
-    bool is_write = false;
-    bool fastpath = true;
-    ByteCount got = 0;
+    QueuedIo(sim::Simulation& s, ExtentOp& o, bool write, bool fast)
+        : op(o), is_write(write), fastpath(fast), done(s) {}
+    ExtentOp& op;
+    bool is_write;
+    bool fastpath;
     bool failed = false;
     fault::ErrorCause cause{};
     std::string what;
     sim::Event done;
-    explicit QueuedIo(sim::Simulation& s) : done(s) {}
   };
 
-  /// Run one extent: enqueue for the dispatcher when server_batch is on,
-  /// otherwise hit the UFS directly (the legacy event sequence).
-  sim::Task<ByteCount> serve_extent(ufs::InodeNum ino, FileOffset off, ByteCount len,
-                                    std::span<std::byte> out, std::span<const std::byte> in,
-                                    bool is_write, bool fastpath);
-  void enqueue(QueuedIo& item);
+  /// The UFS access of one extent; fills op.got.
+  sim::Task<void> ufs_io(ExtentOp& op, bool is_write, bool fastpath);
   sim::Task<void> batch_dispatch();
   /// Run one sweep's tasks to completion, then fire `done` (the
   /// dispatcher's pipelining handle).

@@ -45,12 +45,13 @@ std::vector<IoNodeRequest> StripeLayout::map(FileOffset off, ByteCount len) cons
   return out;
 }
 
-std::vector<CoalescedRequest> coalesce_by_io(std::vector<IoNodeRequest> reqs) {
+std::vector<CoalescedRequest> coalesce_by_io(std::vector<IoNodeRequest> reqs, bool merge) {
   std::vector<CoalescedRequest> out;
+  out.reserve(reqs.size());
   for (IoNodeRequest& req : reqs) {
     CoalescedRequest* dst = nullptr;
     for (CoalescedRequest& c : out) {
-      if (c.io_index == req.io_index) {
+      if (merge && c.io_index == req.io_index) {
         dst = &c;
         break;
       }

@@ -74,7 +74,10 @@ struct CoalescedRequest {
 /// Merge per-slot requests into per-I/O-node scatter-gather requests.
 /// Output order is the first-appearance order of each io node in `reqs`
 /// (which map() emits in group-slot order), so the result is deterministic.
-std::vector<CoalescedRequest> coalesce_by_io(std::vector<IoNodeRequest> reqs);
+/// With `merge` off every per-slot request becomes its own one-extent
+/// request: a per-slot RPC is the one-element case of the extent list.
+std::vector<CoalescedRequest> coalesce_by_io(std::vector<IoNodeRequest> reqs,
+                                             bool merge = true);
 
 class StripeLayout {
  public:

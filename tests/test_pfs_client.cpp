@@ -12,6 +12,9 @@
 #include "sim/simulation.hpp"
 #include "sim/when_all.hpp"
 #include "test_util.hpp"
+#include "trace/export.hpp"
+#include "trace/record.hpp"
+#include "trace/sink.hpp"
 
 namespace ppfs::pfs {
 namespace {
@@ -171,6 +174,34 @@ TEST(PfsClient, SyncModeAssignsNodeOrderedVariableSizes) {
     expect_off += bufs[r].size();
   }
   EXPECT_EQ(tb.fs.collectives().rounds_completed(), 1u);
+}
+
+// Regression: M_SYNC/M_GLOBAL write claims were traced as reads (their
+// pointer spans lacked kFlagWrite, unlike M_UNIX/M_LOG writes).
+TEST(PfsClient, SyncWritePointerSpansAreTaggedWrites) {
+  Testbed tb(4, 4);
+  tb.fs.create("f", tb.fs.default_attrs());
+  trace::TraceSink sink;
+  tb.sim.set_trace_sink(&sink);
+  const auto data = make_pattern(1, 0, 16 * 1024);
+  std::vector<Task<void>> procs;
+  for (int r = 0; r < 4; ++r) {
+    procs.push_back([](Testbed& t, int rank, std::span<const std::byte> in) -> Task<void> {
+      const int fd = co_await t.clients[rank]->open("f", IoMode::kSync);
+      co_await t.clients[rank]->write(fd, in);
+      t.clients[rank]->close(fd);
+    }(tb, r, data));
+  }
+  run_task(tb.sim, sim::when_all(tb.sim, std::move(procs)));
+  tb.sim.set_trace_sink(nullptr);
+
+  std::size_t pointer_spans = 0;
+  for (const trace::TraceRecord& rec : trace::snapshot(sink)) {
+    if (rec.track != trace::TraceTrack::kRpc || rec.event != trace::code::kRpcPointer) continue;
+    ++pointer_spans;
+    EXPECT_NE(rec.flags & trace::kFlagWrite, 0) << "pointer span record at t=" << rec.ts;
+  }
+  EXPECT_EQ(pointer_spans, 8u);  // one begin + one end per rank
 }
 
 TEST(PfsClient, GlobalModeAllRanksSeeSameData) {
