@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
+#include <string_view>
 #include <stdexcept>
 
 namespace ppfs::workload {
@@ -13,6 +15,17 @@ std::string upper(std::string s) {
                  [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
   return s;
 }
+
+// Flags only the read workload reads; a write workload rejects them rather
+// than silently running without them.
+constexpr std::string_view kReadOnlyFlags[] = {
+    "--mode", "--file", "--compare", "--sweep", "--jobs", "--sunit", "--sgroup", "--buffered",
+    "--separate-files", "--trace", "--trace-last",
+    // prefetch
+    "--prefetch", "--depth", "--adaptive", "--prefetch-adaptive", "--prefetch-max-depth",
+    "--prefetch-seed", "--predictor",
+    // access pattern
+    "--own-region", "--pattern", "--stride", "--listio-extents"};
 
 // stoi/stoull throw std::invalid_argument on junk and std::out_of_range on
 // overflow, and stoull silently wraps a leading '-' to a huge unsigned
@@ -46,6 +59,17 @@ double parse_seconds(const std::string& flag, const std::string& text) {
     return v;
   } catch (const std::exception&) {
     throw CliError(flag, "bad duration: '" + text + "'");
+  }
+}
+
+double parse_fraction(const std::string& flag, const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(text, &used);
+    if (used != text.size() || !(v >= 0 && v <= 1)) throw std::invalid_argument(text);
+    return v;
+  } catch (const std::exception&) {
+    throw CliError(flag, "bad fraction in [0, 1]: '" + text + "'");
   }
 }
 
@@ -183,6 +207,7 @@ the paper's metrics.
                         the only coherence), mixed (open-arrival tenants
                         with a --write-fraction of writes). Honors
                         --writers/--request/--delay/--faults/--selfcheck
+                        and the machine flags; rejects the read-only ones
   --writers <n>         concurrent write-workload clients    (default 4)
   --write-rounds <n>    records per writer / handoff rounds  (default 8)
   --conflicting         checkpoint: all writers target the SAME record, so
@@ -237,8 +262,15 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     return argv[i + 1];
   };
 
+  std::string read_only_flag;  // the first one seen
+
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& a = argv[i];
+    if (read_only_flag.empty() &&
+        std::find(std::begin(kReadOnlyFlags), std::end(kReadOnlyFlags), a) !=
+            std::end(kReadOnlyFlags)) {
+      read_only_flag = a;
+    }
     if (a == "--help" || a == "-h") {
       opt.show_help = true;
     } else if (a == "--mode") {
@@ -359,10 +391,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       opt.write_workload->fsync_each_round = false;
     } else if (a == "--write-fraction") {
       if (!opt.write_workload) opt.write_workload.emplace();
-      opt.write_workload->write_fraction = parse_seconds(a, need_value(i, a));
-      if (opt.write_workload->write_fraction > 1.0) {
-        throw CliError(a, "must be in [0, 1]");
-      }
+      opt.write_workload->write_fraction = parse_fraction(a, need_value(i, a));
       ++i;
     } else if (a == "--write-tokens") {
       opt.machine.pfs.write_tokens = true;
@@ -398,6 +427,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     opt.workload.attrs = attrs;
   }
   if (opt.write_workload) {
+    if (!read_only_flag.empty()) {
+      throw CliError(read_only_flag, "not used by --write-workload");
+    }
     // The shared flags (--request/--delay/--faults and the whole machine
     // shape) apply to write workloads too; copy them in last so flag order
     // does not matter.

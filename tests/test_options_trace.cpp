@@ -1,6 +1,9 @@
 // Tests for CLI option parsing and trace capture/replay.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "workload/options.hpp"
 #include "workload/trace.hpp"
 
@@ -124,6 +127,66 @@ TEST(ParseCli, BadValuesThrowCliErrorNamingTheFlag) {
   EXPECT_THROW(parse_cli({"--readahead", "-1"}), CliError);
   // CliError derives std::invalid_argument: old catch sites still work.
   EXPECT_THROW(parse_cli({"--sunit", "abc"}), std::invalid_argument);
+}
+
+// Regression: a write workload silently dropped the read-workload flags
+// (--trace wrote no file, --sgroup left the digest unchanged, --compare ran
+// once). Each must now be rejected with a CliError naming the flag, in
+// either order relative to --write-workload.
+TEST(ParseCli, WriteWorkloadRejectsReadOnlyFlags) {
+  const std::vector<std::vector<std::string>> read_only = {
+      {"--mode", "M_UNIX"},   {"--file", "4M"},
+      {"--prefetch"},         {"--depth", "2"},
+      {"--adaptive"},         {"--prefetch-adaptive"},
+      {"--prefetch-max-depth", "4"},
+      {"--prefetch-seed", "3"},
+      {"--predictor", "strided"},
+      {"--compare"},          {"--sweep"},
+      {"--jobs", "2"},        {"--sunit", "128K"},
+      {"--sgroup", "8"},      {"--buffered"},
+      {"--separate-files"},   {"--own-region"},
+      {"--pattern", "strided"},
+      {"--stride", "2"},      {"--listio-extents", "2"},
+      {"--trace", "t.json"},  {"--trace-last", "16"},
+  };
+  for (const auto& flag : read_only) {
+    EXPECT_NO_THROW(parse_cli(flag)) << flag[0];  // valid for a read workload
+    for (const bool flag_first : {false, true}) {
+      std::vector<std::string> args = {"--write-workload", "checkpoint"};
+      args.insert(flag_first ? args.begin() : args.end(), flag.begin(), flag.end());
+      try {
+        parse_cli(args);
+        ADD_FAILURE() << flag[0] << " accepted with --write-workload";
+      } catch (const CliError& e) {
+        EXPECT_EQ(e.flag(), flag[0]);
+      }
+    }
+  }
+  // Write mode keeps the shared and write-side flags; --verify is accepted
+  // because write workloads always verify.
+  const auto opt = parse_cli({"--write-workload", "checkpoint", "--verify", "--request",
+                              "128K", "--coalesce", "--server-batch", "--writers", "2"});
+  ASSERT_TRUE(opt.write_workload.has_value());
+  EXPECT_EQ(opt.write_workload->request_size, 128u * 1024);
+  EXPECT_TRUE(opt.write_workload->machine.pfs.coalesce_rpcs);
+}
+
+// Regression: a malformed --write-fraction reported "bad duration".
+TEST(ParseCli, WriteFractionReportsABadFraction) {
+  for (const char* text : {"abc", "-0.5", "1.5", "0.5x"}) {
+    try {
+      parse_cli({"--write-workload", "mixed", "--write-fraction", text});
+      ADD_FAILURE() << "accepted --write-fraction " << text;
+    } catch (const CliError& e) {
+      EXPECT_EQ(e.flag(), "--write-fraction");
+      EXPECT_NE(std::string(e.what()).find("bad fraction in [0, 1]"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(
+      parse_cli({"--write-workload", "mixed", "--write-fraction", "0.25"})
+          .write_workload->write_fraction,
+      0.25);
 }
 
 TEST(ParseCli, EqualsValueSyntax) {
