@@ -1,9 +1,11 @@
 // Shared helpers for the paper-reproduction benches: the banner/table
-// conventions, a common --jobs/--json/--quick argument parser, and the
-// JSON result emitter every bench and the ppfs_perf harness use to write
-// machine-readable BENCH_*.json artifacts.
+// conventions, a common --jobs/--json/--quick argument parser with strict
+// numeric flag values, and the JSON result emitter the benches and the
+// ppfs_perf harness use to write machine-readable BENCH_*.json artifacts.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -16,7 +18,6 @@
 
 #include "exp/sweep.hpp"
 #include "workload/experiment.hpp"
-#include "workload/open_arrival.hpp"
 #include "workload/report.hpp"
 
 namespace ppfs::bench {
@@ -159,13 +160,40 @@ struct BenchArgs {
   bool quick = false;
 };
 
+/// A flag's value as a non-negative number. Junk, a trailing suffix
+/// ("1.5x") or a negative value exits 2 with a message naming the flag, so
+/// a typo cannot turn a gate off.
+inline double parse_flag_number(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || std::isspace(static_cast<unsigned char>(*text)) ||
+      !std::isfinite(v) || v < 0) {
+    std::cerr << "error: " << flag << " needs a non-negative number, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
+/// A worker count: a whole number from 1 to 65536, under the same rules.
+inline int parse_flag_jobs(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || std::isspace(static_cast<unsigned char>(*text)) ||
+      errno != 0 || v < 1 || v > 1 << 16) {
+    std::cerr << "error: " << flag << " needs a whole number from 1 to 65536, got '" << text
+              << "'\n";
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
 inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs a;
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s == "--jobs" && i + 1 < argc) {
-      a.jobs = std::atoi(argv[++i]);
-      if (a.jobs < 1) a.jobs = 1;
+      a.jobs = parse_flag_jobs("--jobs", argv[++i]);
     } else if (s == "--json" && i + 1 < argc) {
       a.json_path = argv[++i];
     } else if (s == "--quick") {
@@ -208,141 +236,6 @@ inline std::vector<sim::ByteCount> paper_request_sizes() {
 inline sim::ByteCount file_size_for(sim::ByteCount request, int ncompute, int rounds = 8) {
   const sim::ByteCount sz = request * static_cast<sim::ByteCount>(ncompute) * rounds;
   return std::max<sim::ByteCount>(sz, 4 * 1024 * 1024);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptaFetch ablation grid — shared by bench_ablation_adaptive and the
-// ppfs_perf prefetch-efficiency gate so the committed BENCH_prefetch.json
-// and the paper-figure bench always measure the exact same scenarios.
-
-struct AdaptaConfig {
-  const char* name;
-  std::size_t depth;   // fixed readahead depth (starting depth when adaptive)
-  bool adaptive;       // AdaptaFetch controller + ensemble predictor
-};
-
-inline constexpr AdaptaConfig kAdaptaConfigs[] = {
-    {"fixed-1", 1, false},   // the paper's one-ahead prototype
-    {"fixed-4", 4, false},   // deeper but still open-loop
-    {"adaptive", 1, true},   // feedback-driven, ensemble, max depth 8
-};
-inline constexpr std::size_t kAdaptaConfigCount =
-    sizeof kAdaptaConfigs / sizeof kAdaptaConfigs[0];
-
-struct AdaptaRow {
-  const char* name;
-  workload::AccessPattern pattern;
-  pfs::IoMode mode;
-  sim::SimTime compute_delay;
-  std::uint64_t reads_per_node;   // full run; --quick halves this
-};
-
-inline constexpr AdaptaRow kAdaptaRows[] = {
-    {"sequential", workload::AccessPattern::kInterleaved, pfs::IoMode::kRecord,
-     0.002, 64},
-    {"strided", workload::AccessPattern::kStrided, pfs::IoMode::kAsync, 0.004, 64},
-    {"listio", workload::AccessPattern::kListIo, pfs::IoMode::kAsync, 0.004, 64},
-};
-inline constexpr std::size_t kAdaptaRowCount = sizeof kAdaptaRows / sizeof kAdaptaRows[0];
-
-inline workload::WorkloadSpec adapta_spec(const AdaptaRow& row, const AdaptaConfig& cfg,
-                                          bool quick) {
-  constexpr sim::ByteCount kReq = 64 * 1024;
-  const int n = workload::MachineSpec{}.ncompute;
-  const std::uint64_t reads = quick ? row.reads_per_node / 2 : row.reads_per_node;
-
-  workload::WorkloadSpec w;
-  w.mode = row.mode;
-  w.pattern = row.pattern;
-  w.request_size = kReq;
-  w.compute_delay = row.compute_delay;
-  w.prefetch = true;
-  w.prefetch_cfg.depth = cfg.depth;
-  w.prefetch_cfg.adaptive_depth = cfg.adaptive;
-  w.prefetch_cfg.max_depth = 8;
-  if (cfg.adaptive) w.prefetch_cfg.predictor = prefetch::PredictorKind::kEnsemble;
-
-  switch (row.pattern) {
-    case workload::AccessPattern::kStrided:
-      w.stride = 4;
-      // reads/node = file / (req * n * stride)
-      w.file_size = kReq * n * w.stride * reads;
-      break;
-    case workload::AccessPattern::kListIo: {
-      w.listio_extents = 4;
-      // reads/node = (share / frame) * extents; pick share an exact frame
-      // multiple so nothing is truncated.
-      const sim::ByteCount frames = reads / w.listio_extents;
-      w.file_size = workload::listio_frame_bytes(w) * frames * n;
-      break;
-    }
-    default:
-      w.file_size = kReq * n * reads;
-      break;
-  }
-  return w;
-}
-
-/// The full pattern x config sweep, row-major (configs inner).
-inline std::vector<exp::SweepJob> adapta_jobs(bool quick) {
-  std::vector<exp::SweepJob> jobs;
-  for (const AdaptaRow& row : kAdaptaRows) {
-    for (const AdaptaConfig& cfg : kAdaptaConfigs) {
-      jobs.push_back({std::string(row.name) + " " + cfg.name, workload::MachineSpec{},
-                      adapta_spec(row, cfg, quick)});
-    }
-  }
-  return jobs;
-}
-
-// ---------------------------------------------------------------------------
-// ScaleSim machine-size grid — shared by bench_scale and the ppfs_perf
-// scale gate so the committed BENCH_scale.json and the scaling table in
-// EXPERIMENTS.md always measure the exact same scenarios.
-
-struct ScaleRow {
-  const char* name;
-  int ncompute;
-  int nio;
-  int tenants;
-  std::uint64_t requests_per_client;
-  bool full_only;  // skipped with --quick (the production-scale rows)
-};
-
-inline constexpr ScaleRow kScaleRows[] = {
-    {"8x8", 8, 8, 4, 32, false},        // the paper's machine
-    {"64x16", 64, 16, 8, 16, false},    // a full cabinet
-    {"256x64", 256, 64, 16, 8, true},   // multi-cabinet
-    {"1024x256", 1024, 256, 32, 8, true},  // production scale
-};
-inline constexpr std::size_t kScaleRowCount = sizeof kScaleRows / sizeof kScaleRows[0];
-
-inline workload::MachineSpec scale_machine(const ScaleRow& row) {
-  workload::MachineSpec m;
-  m.ncompute = row.ncompute;
-  m.nio = row.nio;
-  return m;
-}
-
-inline workload::OpenArrivalSpec scale_spec(const ScaleRow& row, bool quick) {
-  workload::OpenArrivalSpec s;
-  s.tenants = row.tenants;
-  s.requests_per_client = quick ? row.requests_per_client / 2 : row.requests_per_client;
-  if (s.requests_per_client == 0) s.requests_per_client = 1;
-  s.request_size = 64 * 1024;
-  // 2 MB per tenant bounds the host-side content store (32 tenants at the
-  // 1024x256 row is 64 MB) while still giving 32 distinct request offsets.
-  s.tenant_file_size = 2 * 1024 * 1024;
-  s.mean_interarrival = 0.05;
-  s.seed = 42;
-  return s;
-}
-
-/// The sharded giant scenario the determinism gate reruns with different
-/// worker counts: one shard per 64 compute nodes (minimum 2).
-inline int scale_shards(const ScaleRow& row) {
-  const int s = row.ncompute / 64;
-  return s < 2 ? 2 : s;
 }
 
 }  // namespace ppfs::bench

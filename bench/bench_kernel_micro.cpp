@@ -1,12 +1,16 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
-// event-queue throughput, coroutine spawn cost, resource contention,
-// stripe mapping, RNG, and pattern fill. These guard the simulator's own
-// performance — the paper benches run millions of events per sweep.
+// event-queue throughput, deep-backlog drain, coroutine spawn cost,
+// resource contention, stripe mapping, RNG, and pattern fill. These guard
+// the simulator's own performance — the paper benches run millions of
+// events per sweep.
 #include <benchmark/benchmark.h>
 
+#include <coroutine>
+#include <cstdint>
 #include <vector>
 
 #include "pfs/stripe.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
@@ -34,6 +38,48 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1000)->Arg(100000);
+
+// Production backlog depths on a bare EventQueue: push range(0) events with
+// microsecond-quantized pseudo-random times over a ~1 s horizon (lock-step
+// nodes schedule waves at identical instants, so deep tie buckets form),
+// then drain, checking the kernel's order contract: nondecreasing time,
+// ties by seq. Items are pushes plus pops; bytes_per_pending is the queue's
+// footprint over its peak depth. The 10^7 depth needs about 1.1 GB.
+void BM_DeepQueueDrain(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  double bytes_per_pending = 0;
+  for (auto _ : state) {
+    ppfs::sim::EventQueue q;
+    Rng rng(7);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const double t = static_cast<double>(rng.uniform_int(0, 1000000)) * 1e-6;
+      q.push(t, i, std::coroutine_handle<>{});
+    }
+    ppfs::sim::SimTime last = 0;
+    std::uint64_t last_seq = 0;
+    bool in_order = true;
+    while (!q.empty()) {
+      const auto e = q.pop();
+      in_order = in_order && (e.t > last || (e.t == last && e.seq >= last_seq));
+      last = e.t;
+      last_seq = e.seq;
+    }
+    benchmark::DoNotOptimize(last_seq);
+    if (!in_order) {
+      state.SkipWithError("deep-queue drain out of order");
+      break;
+    }
+    bytes_per_pending =
+        static_cast<double>(q.memory_bytes()) / static_cast<double>(q.peak_pending());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+  state.counters["bytes_per_pending"] = bytes_per_pending;
+}
+BENCHMARK(BM_DeepQueueDrain)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Arg(10000000)
+    ->Unit(benchmark::kMillisecond);
 
 Task<void> hop(Simulation& sim, int hops) {
   for (int i = 0; i < hops; ++i) co_await sim.delay(0.001);

@@ -310,7 +310,7 @@ workload::MachineSpec tier_machine(std::uint64_t capacity = 1024) {
 }
 
 TEST(CacheTierWorkload, WarmRestartServesPostCrashReadsFromTier) {
-  // The bench_recovery gate as a regression test: sequential 8x8, crash
+  // The ppfs_perf recovery gate as a regression test: sequential 8x8, crash
   // mid-read-phase, journal replay must restore service warm.
   workload::Experiment exp(tier_machine());
   workload::WorkloadSpec w;
