@@ -145,6 +145,21 @@ void BM_PatternFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternFill)->Arg(64)->Arg(1024);
 
+void BM_PatternVerify(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)) * 1024);
+  ppfs::workload::fill_pattern(7, 0, buf);
+  for (auto _ : state) {
+    const std::size_t bad = ppfs::workload::find_pattern_mismatch(7, 0, buf);
+    if (bad != ppfs::workload::kNoMismatch) {
+      state.SkipWithError("pattern mismatch");
+      break;
+    }
+    benchmark::DoNotOptimize(bad);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_PatternVerify)->Arg(64)->Arg(1024);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -213,8 +213,21 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, CoalescedRequest req, Fil
                             static_cast<std::uint64_t>(req.io_index),
                             is_write ? trace::kFlagWrite : std::uint8_t{0});
 
-  // The contiguous wire image: each extent's stripe-file bytes back to back.
-  std::vector<std::byte> staging(req.length);
+  // A read extent that is one file-space slice is placed directly: the
+  // server fills that slice of the caller's buffer ("Fast Path reads data
+  // directly from the disks to the user's buffer"). Every other extent goes
+  // through the contiguous wire image: a multi-piece read extent is
+  // scattered from it after the reply, and a write always sends a copy,
+  // because a write-back flush's source may change or be freed while the
+  // RPC is in flight.
+  const auto placed = [&](const CoalescedExtent& e) {
+    return !is_write && e.pieces.size() == 1;
+  };
+  ByteCount staged = 0;
+  for (const CoalescedExtent& e : req.extents) {
+    if (!placed(e)) staged += e.length;
+  }
+  std::vector<std::byte> staging(staged);
   std::vector<PfsServer::ExtentOp> ops;
   ops.reserve(req.extents.size());
   ByteCount stage_off = 0;
@@ -223,24 +236,30 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, CoalescedRequest req, Fil
     op.ino = meta.stripe_inos[e.group_slot];
     op.local_off = e.local_offset;
     op.len = e.length;
-    const auto image = std::span<std::byte>(staging).subspan(stage_off, e.length);
-    if (is_write) {
-      op.in = image;
+    if (placed(e)) {
+      op.out = out.subspan(e.pieces.front().file_offset - base, e.length);
     } else {
-      op.out = image;
+      const auto image = std::span<std::byte>(staging).subspan(stage_off, e.length);
+      if (is_write) {
+        op.in = image;
+      } else {
+        op.out = image;
+      }
+      stage_off += e.length;
     }
     ops.push_back(op);
-    stage_off += e.length;
   }
-  // Copy between the wire image and the user buffer's file-space slices.
-  // The auditor cross-checks that exactly the bytes the wire carries (for
-  // a read, what the server reported moving) cross it: each merged range
-  // once, none lost, none duplicated — retries cannot double-count, as
-  // only the surviving attempt scatters.
+  // Copy between the wire image and the user buffer's file-space slices;
+  // a placed extent's bytes are counted but already in place. The auditor
+  // cross-checks that exactly the bytes the wire carries (for a read, what
+  // the server reported moving) cross it: each merged range once, none
+  // lost, none duplicated — retries cannot double-count, as only the
+  // surviving attempt is counted.
   const auto copy_pieces = [&](ByteCount expected) {
     ByteCount copied = 0;
     std::byte* image = staging.data();
     for (std::size_t i = 0; i < req.extents.size(); ++i) {
+      const bool in_place = placed(req.extents[i]);
       const ByteCount avail = is_write ? ops[i].len : ops[i].got;
       ByteCount cursor = 0;
       for (const StripePiece& piece : req.extents[i].pieces) {
@@ -248,13 +267,13 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, CoalescedRequest req, Fil
         const ByteCount n = std::min<ByteCount>(piece.length, avail - cursor);
         if (is_write) {
           std::memcpy(image + cursor, in.data() + (piece.file_offset - base), n);
-        } else {
+        } else if (!in_place) {
           std::memcpy(out.data() + (piece.file_offset - base), image + cursor, n);
         }
         cursor += n;
         copied += n;
       }
-      image += ops[i].len;
+      if (!in_place) image += ops[i].len;
     }
     if (auto* a = machine_.simulation().auditor()) {
       a->check_coalesce_conservation(machine_.simulation().now(), expected, copied);
@@ -301,8 +320,7 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, CoalescedRequest req, Fil
       if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
     }
     rpc_span.end(got, coalesced ? req.extents.size() : static_cast<std::uint64_t>(req.io_index));
-    // "Fast Path reads data directly from the disks to the user's buffer" —
-    // the scatter charges no extra CPU copy.
+    // The scatter of staged extents charges no simulated CPU copy.
     if (!is_write) copy_pieces(got);
     co_return;
   }

@@ -1,7 +1,8 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
 // Data-path stage tests: extent-coalesced RPCs (stripe math + epoch-cached
 // stripe maps), mesh MTU segmentation, the server batch queue, and the
-// block-level sorted sweep (ufs::Ufs::read_sorted). Every stage defaults
+// block-level sorted sweep (ufs::Ufs::read_sorted), and direct placement
+// of one-piece read extents in the caller's buffer. Every stage defaults
 // off; the end-to-end cases prove byte-exact delivery with each stage on,
 // including under crashes and degraded RAID.
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 #include "hw/disk_sched.hpp"
 #include "hw/machine.hpp"
 #include "hw/mesh.hpp"
+#include "pfs/client.hpp"
+#include "pfs/filesystem.hpp"
 #include "pfs/stripe.hpp"
+#include "sim/check/audit.hpp"
 #include "sim/simulation.hpp"
 #include "test_util.hpp"
 #include "ufs/block_store.hpp"
@@ -427,6 +431,123 @@ TEST(DatapathPins, TransientReadBatched) {
   EXPECT_EQ(r.digest, 0xb2527a7641c94beeULL);
   EXPECT_EQ(r.events_dispatched, 1651u);
   EXPECT_GT(r.rpc.retries, 0u);
+}
+
+// --- direct placement of one-piece read extents ----------------------------
+//
+// A read extent that is one file-space slice is served straight into the
+// caller's buffer; a multi-piece extent is staged and scattered. Each case
+// reads through the real client/server stack with the coalesce-conservation
+// ledger live (SimCheck builds).
+
+struct PlacementBed {
+  explicit PlacementBed(const pfs::StripeAttrs& attrs, sim::ByteCount size) {
+    fs.create("f", attrs);
+    run_task(sim, [](PlacementBed& b, sim::ByteCount sz) -> Task<void> {
+      const int fd = co_await b.client.open("f", pfs::IoMode::kAsync);
+      co_await b.client.write(fd, make_pattern(1, 0, sz));
+      b.client.close(fd);
+    }(*this, size));
+  }
+
+  static pfs::PfsParams coalesced() {
+    pfs::PfsParams p;
+    p.coalesce_rpcs = true;
+    return p;
+  }
+
+  sim::ByteCount read(sim::FileOffset off, std::span<std::byte> out) {
+    sim::ByteCount got = 0;
+    run_task(sim, [](PlacementBed& b, sim::FileOffset o, std::span<std::byte> buf,
+                     sim::ByteCount& n) -> Task<void> {
+      const int fd = co_await b.client.open("f", pfs::IoMode::kAsync);
+      n = co_await b.client.read_at(fd, o, buf.size(), buf, /*fastpath=*/true);
+      b.client.close(fd);
+    }(*this, off, out, got));
+    return got;
+  }
+
+  std::size_t coalesce_violations() {
+    auto* a = sim.auditor();
+    return a ? a->count(sim::check::Violation::kCoalesceConservation) : 0;
+  }
+
+  Simulation sim;
+  hw::Machine machine{sim, hw::MachineConfig::paragon(2, 4)};
+  pfs::PfsFileSystem fs{machine, coalesced()};
+  pfs::PfsClient client{fs, 0, 0, 1};
+};
+
+pfs::StripeAttrs four_slots_on(std::vector<int> group) {
+  pfs::StripeAttrs a;
+  a.stripe_unit = 64 * 1024;
+  a.stripe_group = std::move(group);
+  return a;
+}
+
+TEST(DirectPlacement, CoalescedRpcMixesStagedAndPlacedExtents) {
+  // Four slots on one node; a read of six stripe units from mid-unit gives
+  // slots 0 and 1 two pieces each (staged) and slots 2 and 3 one (placed),
+  // all in the same RPC.
+  const auto attrs = four_slots_on({0, 0, 0, 0});
+  PlacementBed bed(attrs, 1024 * 1024);
+  const sim::FileOffset off = 1000;
+  const sim::ByteCount len = 6 * 64 * 1024 - 3000;
+  const auto reqs = pfs::coalesce_by_io(pfs::StripeLayout(attrs).map(off, len));
+  ASSERT_EQ(reqs.size(), 1u);
+  std::vector<std::size_t> pieces;
+  for (const auto& e : reqs[0].extents) pieces.push_back(e.pieces.size());
+  EXPECT_EQ(pieces, (std::vector<std::size_t>{2, 2, 1, 1}));
+
+  const auto rpcs_before = bed.client.rpc_stats().data_rpcs;
+  std::vector<std::byte> buf(len);
+  EXPECT_EQ(bed.read(off, buf), len);
+  EXPECT_EQ(bed.client.rpc_stats().data_rpcs - rpcs_before, 1u);
+  EXPECT_TRUE(check_pattern(buf, 1, off));
+  EXPECT_EQ(bed.coalesce_violations(), 0u);
+}
+
+TEST(DirectPlacement, CrashRetryReadIsByteExact) {
+  // Every extent is one piece, so the crashed attempt and the retry both
+  // land in the caller's buffer.
+  PlacementBed bed(four_slots_on({0, 1, 2, 3}), 1024 * 1024);
+  bed.sim.call_at(bed.sim.now() + 0.001, [&bed] { bed.fs.server(1).crash(); });
+  bed.sim.call_at(bed.sim.now() + 0.05, [&bed] { bed.fs.server(1).restore(); });
+  const sim::FileOffset off = 128 * 1024;
+  std::vector<std::byte> buf(4 * 64 * 1024);
+  EXPECT_EQ(bed.read(off, buf), buf.size());
+  EXPECT_GT(bed.client.rpc_stats().retries, 0u);
+  EXPECT_EQ(bed.client.rpc_stats().terminal_errors, 0u);
+  EXPECT_TRUE(check_pattern(buf, 1, off));
+  EXPECT_EQ(bed.coalesce_violations(), 0u);
+}
+
+TEST(DirectPlacement, ReadPastEofLeavesTheRestOfTheBuffer) {
+  const sim::ByteCount size = 3 * 64 * 1024 + 5000;
+  PlacementBed bed(four_slots_on({0, 1, 2, 3}), size);
+  const sim::FileOffset off = 64 * 1024 + 100;
+  constexpr std::byte kSentinel{0xa5};
+  std::vector<std::byte> buf(4 * 64 * 1024, kSentinel);
+  const sim::ByteCount got = bed.read(off, buf);
+  ASSERT_EQ(got, size - off);
+  EXPECT_TRUE(check_pattern(std::span<const std::byte>(buf).first(got), 1, off));
+  for (std::size_t i = got; i < buf.size(); ++i) {
+    ASSERT_EQ(buf[i], kSentinel) << "byte " << i << " past the returned count was written";
+  }
+  EXPECT_EQ(bed.coalesce_violations(), 0u);
+}
+
+TEST(DirectPlacement, SeededCoalesceViolationIsStillReported) {
+  PlacementBed bed(four_slots_on({0, 1, 2, 3}), 1024 * 1024);
+  auto* a = bed.sim.auditor();
+  if (!a) GTEST_SKIP() << "SimCheck compiled out";
+  a->set_fail_fast(false);
+  a->arm_injection(sim::check::Violation::kCoalesceConservation, 42);
+  std::vector<std::byte> buf(4 * 64 * 1024);
+  EXPECT_EQ(bed.read(0, buf), buf.size());
+  EXPECT_FALSE(a->injection_armed());
+  EXPECT_EQ(bed.coalesce_violations(), 1u);  // the injected one, no other
+  EXPECT_TRUE(check_pattern(buf, 1, 0));
 }
 
 TEST(DatapathE2E, DefaultSpecKeepsEveryStageOff) {

@@ -13,34 +13,28 @@
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
+#include "workload/generator.hpp"
 
 namespace ppfs::test {
 
-/// Deterministic content: the byte at absolute file offset `off` of file
-/// `tag` is a mix of both, so any mis-addressed read shows up as a mismatch.
-inline std::byte pattern_byte(std::uint64_t tag, std::uint64_t off) {
-  const std::uint64_t x = (tag * 0x9e3779b97f4a7c15ull) ^ (off * 0xbf58476d1ce4e5b9ull);
-  return static_cast<std::byte>((x >> 32) & 0xff);
-}
-
+/// Deterministic content (workload::pattern_byte): the byte at absolute
+/// file offset `off` of file `tag` mixes both, so any mis-addressed read
+/// shows up as a mismatch.
 inline std::vector<std::byte> make_pattern(std::uint64_t tag, std::uint64_t start,
                                            std::size_t len) {
   std::vector<std::byte> v(len);
-  for (std::size_t i = 0; i < len; ++i) v[i] = pattern_byte(tag, start + i);
+  workload::fill_pattern(tag, start, v);
   return v;
 }
 
 inline ::testing::AssertionResult check_pattern(std::span<const std::byte> data,
                                                 std::uint64_t tag, std::uint64_t start) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != pattern_byte(tag, start + i)) {
-      return ::testing::AssertionFailure()
-             << "pattern mismatch at offset " << start + i << " (index " << i << "): got "
-             << static_cast<int>(data[i]) << " want "
-             << static_cast<int>(pattern_byte(tag, start + i));
-    }
-  }
-  return ::testing::AssertionSuccess();
+  const std::size_t i = workload::find_pattern_mismatch(tag, start, data);
+  if (i == workload::kNoMismatch) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "pattern mismatch at offset " << start + i << " (index " << i << "): got "
+         << static_cast<int>(data[i]) << " want "
+         << static_cast<int>(workload::pattern_byte(tag, start + i));
 }
 
 /// Run a single task to completion; fails the test if the simulation ends

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "workload/experiment.hpp"
 #include "workload/generator.hpp"
@@ -145,6 +148,139 @@ TEST(Pattern, MismatchDetection) {
   EXPECT_NE(find_pattern_mismatch(8, 1000, buf), kNoMismatch);
   buf[42] = static_cast<std::byte>(static_cast<unsigned char>(buf[42]) ^ 0xff);
   EXPECT_EQ(find_pattern_mismatch(7, 1000, buf), 42u);
+}
+
+// --- the word-at-a-time pattern kernels against pattern_byte ---------------
+
+constexpr std::uint64_t kTags[] = {0, 1, 7, std::numeric_limits<std::uint64_t>::max()};
+
+/// fill_pattern into the middle of a guarded buffer must equal pattern_byte
+/// byte for byte, leave the guard bytes alone, and verify clean.
+::testing::AssertionResult fills_like_reference(std::uint64_t tag, FileOffset start,
+                                                std::size_t len) {
+  constexpr std::size_t kGuard = 8;
+  constexpr std::byte kGuardByte{0x5a};
+  std::vector<std::byte> buf(len + 2 * kGuard, kGuardByte);
+  const auto body = std::span(buf).subspan(kGuard, len);
+  fill_pattern(tag, start, body);
+  for (std::size_t i = 0; i < len; ++i) {
+    if (body[i] != pattern_byte(tag, start + i)) {
+      return ::testing::AssertionFailure() << "tag " << tag << " start " << start << " len "
+                                           << len << ": byte " << i << " differs";
+    }
+  }
+  for (std::size_t i = 0; i < kGuard; ++i) {
+    if (buf[i] != kGuardByte || buf[kGuard + len + i] != kGuardByte) {
+      return ::testing::AssertionFailure()
+             << "tag " << tag << " start " << start << " len " << len << ": wrote a guard byte";
+    }
+  }
+  if (const std::size_t bad = find_pattern_mismatch(tag, start, body); bad != kNoMismatch) {
+    return ::testing::AssertionFailure()
+           << "tag " << tag << " start " << start << " len " << len << ": mismatch at " << bad;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Starts whose word sits just below and at each offset-carry threshold:
+/// byte i (1..7) of the word at `start` carries out of the low 32 bits of
+/// start*kPatternOffMul once that low half reaches 2^32 - i*Bl.
+std::vector<FileOffset> carry_threshold_starts() {
+  const auto bl = static_cast<std::uint32_t>(kPatternOffMul);
+  std::uint32_t inv = bl;  // Newton's iteration for bl^-1 mod 2^32 (bl is odd)
+  for (int k = 0; k < 5; ++k) inv *= 2u - bl * inv;
+  std::vector<FileOffset> starts;
+  for (std::uint32_t i = 1; i < 8; ++i) {
+    const std::uint32_t threshold = 0u - i * bl;  // 2^32 - i*Bl
+    for (std::uint32_t low : {threshold - 1, threshold}) {
+      const FileOffset s = static_cast<std::uint32_t>(low * inv);
+      starts.push_back(s);
+      starts.push_back(s + (FileOffset{1} << 40));  // same low half, high start
+    }
+  }
+  return starts;
+}
+
+TEST(Pattern, CarryThresholdStartsAreExact) {
+  const auto starts = carry_threshold_starts();
+  ASSERT_EQ(starts.size(), 28u);
+  const auto bl = static_cast<std::uint32_t>(kPatternOffMul);
+  for (std::size_t k = 0; k < starts.size(); k += 4) {
+    const std::uint32_t i = 1 + static_cast<std::uint32_t>(k / 4);
+    EXPECT_EQ(static_cast<std::uint32_t>(starts[k] * kPatternOffMul), 0u - i * bl - 1);
+    EXPECT_EQ(static_cast<std::uint32_t>(starts[k + 2] * kPatternOffMul), 0u - i * bl);
+  }
+}
+
+TEST(Pattern, FillMatchesByteReference) {
+  for (std::uint64_t tag : kTags) {
+    for (FileOffset start = 0; start < 16; ++start) {
+      for (std::size_t len = 0; len <= 40; ++len) {
+        ASSERT_TRUE(fills_like_reference(tag, start, len));
+      }
+    }
+    for (FileOffset start : carry_threshold_starts()) {
+      for (FileOffset nudge : {FileOffset{0}, FileOffset{1}}) {
+        ASSERT_TRUE(fills_like_reference(tag, start - nudge, 41));
+      }
+    }
+    for (FileOffset start : {FileOffset{1} << 40, (FileOffset{1} << 40) + 13,
+                             (FileOffset{1} << 63) - 5}) {
+      ASSERT_TRUE(fills_like_reference(tag, start, 40));
+    }
+    ASSERT_TRUE(fills_like_reference(tag, 0, 1024 * 1024));
+    ASSERT_TRUE(fills_like_reference(tag, 1000003, 1024 * 1024 + 5));
+  }
+}
+
+TEST(Pattern, MismatchReportsTheExactIndex) {
+  // 47 bytes: a head word, four body words and a 7-byte tail; every
+  // position is flipped once, for starts of each alignment.
+  for (std::uint64_t tag : kTags) {
+    for (FileOffset start : {FileOffset{0}, FileOffset{3}, FileOffset{7},
+                             (FileOffset{1} << 40) + 5}) {
+      std::vector<std::byte> buf(47);
+      fill_pattern(tag, start, buf);
+      for (std::size_t pos = 0; pos < buf.size(); ++pos) {
+        const std::byte flip{static_cast<unsigned char>(1u << (pos % 8))};
+        buf[pos] ^= flip;
+        EXPECT_EQ(find_pattern_mismatch(tag, start, buf), pos)
+            << "tag " << tag << " start " << start;
+        buf[pos] ^= flip;
+      }
+      EXPECT_EQ(find_pattern_mismatch(tag, start, buf), kNoMismatch);
+    }
+  }
+  // A 1 MB span: each position mod 8 in the head, the body and the tail.
+  std::vector<std::byte> big(1024 * 1024 + 5);
+  fill_pattern(9, 77, big);
+  for (std::size_t base : {std::size_t{0}, big.size() / 2, big.size() - 13}) {
+    for (std::size_t pos = base; pos < base + 8; ++pos) {
+      big[pos] ^= std::byte{0xff};
+      EXPECT_EQ(find_pattern_mismatch(9, 77, big), pos);
+      big[pos] ^= std::byte{0xff};
+    }
+  }
+  EXPECT_EQ(find_pattern_mismatch(9, 77, big), kNoMismatch);
+}
+
+TEST(Pattern, MismatchReportsTheEarlierOfTwo) {
+  std::vector<std::byte> buf(61);  // seven words and a 5-byte tail
+  fill_pattern(7, 5, buf);
+  for (auto [first, second] : {std::pair<std::size_t, std::size_t>{2, 6},  // one word
+                               {6, 9},                                      // adjacent words
+                               {12, 60}}) {                                 // body and tail
+    buf[first] ^= std::byte{0x10};
+    buf[second] ^= std::byte{0x10};
+    EXPECT_EQ(find_pattern_mismatch(7, 5, buf), first);
+    buf[first] ^= std::byte{0x10};
+    buf[second] ^= std::byte{0x10};
+  }
+}
+
+TEST(Pattern, EmptySpanIsClean) {
+  EXPECT_EQ(find_pattern_mismatch(7, 123, std::span<const std::byte>{}), kNoMismatch);
+  fill_pattern(7, 123, std::span<std::byte>{});  // writes nothing
 }
 
 TEST(Report, TextTableAlignsColumns) {
