@@ -2,7 +2,6 @@
 
 #include <coroutine>
 #include <exception>
-#include <unordered_set>
 
 #include "sim/simulation.hpp"
 
@@ -13,8 +12,7 @@ namespace {
 // Process-wide registry of destroyed coroutine-frame addresses. Single
 // audit-relevant thread per process in this simulator; thread_local keeps
 // concurrent test runners independent.
-// ppfs-lint: allow(det-unsafe-source) membership tests only, never iterated
-thread_local std::unordered_set<void*> g_destroyed_frames;
+thread_local PtrSet g_destroyed_frames;
 
 // splitmix64: turns an arbitrary seed into a well-mixed trigger point so
 // injection tests exercise different interleavings per seed.
@@ -55,7 +53,7 @@ void note_frame_destroyed(void* frame) noexcept {
   if (frame) g_destroyed_frames.insert(frame);
 }
 
-bool frame_destroyed(void* frame) noexcept { return g_destroyed_frames.count(frame) != 0; }
+bool frame_destroyed(void* frame) noexcept { return g_destroyed_frames.contains(frame); }
 
 void Auditor::report(SimTime now, Violation kind, std::string detail, bool may_throw) {
   violations_.push_back(ViolationRecord{kind, now, std::move(detail)});
@@ -91,12 +89,12 @@ void Auditor::on_schedule(SimTime now, SimTime t, const void* frame) {
 bool Auditor::on_dispatch(SimTime now, const void* frame) {
   tick_injection(now);
   if (!frame) return true;
-  auto it = pending_.find(frame);
-  if (it != pending_.end() && --it->second == 0) pending_.erase(it);
-  if (frame_destroyed(const_cast<void*>(frame))) {
-    // Clear the stain so an unrelated future frame at this address (or the
-    // shared noop coroutine used by injection) is not condemned forever.
-    g_destroyed_frames.erase(const_cast<void*>(frame));
+  if (std::uint64_t* queued = pending_.find(frame); queued && --*queued == 0) {
+    pending_.erase(frame);
+  }
+  // Erasing clears the stain so an unrelated future frame at this address
+  // (or the shared noop coroutine used by injection) is not condemned forever.
+  if (g_destroyed_frames.erase(frame)) {
     report(now, Violation::kResumeAfterDestroy,
            "dispatching a coroutine frame that was destroyed while queued");
     return false;
@@ -122,10 +120,10 @@ void Auditor::on_resource_release(SimTime now, const void* res, std::size_t unit
 }
 
 void Auditor::on_resource_destroyed(const void* res) noexcept {
-  auto it = resource_outstanding_.find(res);
-  if (it == resource_outstanding_.end()) return;
-  const std::int64_t leaked = it->second;
-  resource_outstanding_.erase(it);
+  const std::int64_t* outstanding = resource_outstanding_.find(res);
+  if (outstanding == nullptr) return;
+  const std::int64_t leaked = *outstanding;
+  resource_outstanding_.erase(res);
   if (leaked != 0) {
     report(sim_.now(), Violation::kResourceAccounting,
            std::to_string(leaked) + " unit(s) still acquired when Resource was destroyed",
@@ -134,8 +132,8 @@ void Auditor::on_resource_destroyed(const void* res) noexcept {
 }
 
 std::int64_t Auditor::resource_outstanding(const void* res) const noexcept {
-  auto it = resource_outstanding_.find(res);
-  return it == resource_outstanding_.end() ? 0 : it->second;
+  const std::int64_t* outstanding = resource_outstanding_.find(res);
+  return outstanding == nullptr ? 0 : *outstanding;
 }
 
 // --- PrefetchBuffer conservation --------------------------------------------
@@ -172,10 +170,10 @@ void Auditor::on_buffer_freed_at_close(const void* owner, std::uint64_t n) {
 }
 
 void Auditor::check_buffer_conservation(SimTime now, const void* owner, bool in_destructor) {
-  auto it = buffers_.find(owner);
-  if (it == buffers_.end()) return;
-  const BufferLedger l = it->second;
-  if (in_destructor) buffers_.erase(it);
+  const BufferLedger* ledger = buffers_.find(owner);
+  if (ledger == nullptr) return;
+  const BufferLedger l = *ledger;
+  if (in_destructor) buffers_.erase(owner);
   if (l.allocated != l.disposed()) {
     report(now, Violation::kBufferConservation,
            "allocated=" + std::to_string(l.allocated) + " != consumed=" +
@@ -239,8 +237,8 @@ void Auditor::on_cache_bit_cleared(const void* owner, std::uint64_t n) {
 
 void Auditor::check_cache_bitmap_conservation(SimTime now, const void* owner,
                                               std::uint64_t resident, bool in_destructor) {
-  auto it = cache_bits_.find(owner);
-  if (it == cache_bits_.end()) {
+  const CacheLedger* ledger = cache_bits_.find(owner);
+  if (ledger == nullptr) {
     if (resident != 0) {
       report(now, Violation::kCacheBitmapConservation,
              std::to_string(resident) + " resident bit(s) on a tier with no ledger",
@@ -248,8 +246,8 @@ void Auditor::check_cache_bitmap_conservation(SimTime now, const void* owner,
     }
     return;
   }
-  const CacheLedger l = it->second;
-  if (in_destructor) cache_bits_.erase(it);
+  const CacheLedger l = *ledger;
+  if (in_destructor) cache_bits_.erase(owner);
   if (l.set != l.cleared + resident) {
     report(now, Violation::kCacheBitmapConservation,
            "set=" + std::to_string(l.set) + " != cleared=" + std::to_string(l.cleared) +

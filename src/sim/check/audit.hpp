@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/check/ptr_table.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::sim {
@@ -231,14 +232,10 @@ class Auditor {
   Simulation& sim_;
   bool fail_fast_ = true;
 
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, std::uint64_t> pending_;  // frame -> times queued
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, std::int64_t> resource_outstanding_;
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, BufferLedger> buffers_;
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, CacheLedger> cache_bits_;
+  PtrTable<std::uint64_t> pending_;  // frame -> times queued
+  PtrTable<std::int64_t> resource_outstanding_;
+  PtrTable<BufferLedger> buffers_;
+  PtrTable<CacheLedger> cache_bits_;
   // file -> currently granted write-token ranges (grant order preserved).
   // ppfs-lint: allow(det-unsafe-source) lookup by key only, never iterated
   std::unordered_map<std::uint64_t, std::vector<TokenGrantRec>> token_grants_;

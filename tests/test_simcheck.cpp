@@ -21,6 +21,7 @@
 #include "prefetch/engine.hpp"
 #include "sim/check/audit.hpp"
 #include "sim/event.hpp"
+#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
@@ -409,6 +410,108 @@ TEST(SimCheckDigest, StepCountsAndDigestAdvanceTogether) {
   sim.run();
   EXPECT_EQ(sim.events_dispatched(), 1u);
   EXPECT_NE(sim.digest(), d0);
+}
+
+// --- hook tables under load -------------------------------------------------
+//
+// The auditor's pending-frame, destroyed-frame and resource tables grow to
+// thousands of entries and shrink again here; a single violation seeded
+// among ten thousand clean operations must still be reported exactly once.
+
+constexpr int kStressFrames = 10000;
+
+// Resumed once per scheduling; suspends again after counting.
+Task<void> count_resumes(int& resumes) {
+  for (;;) {
+    ++resumes;
+    co_await std::suspend_always{};
+  }
+}
+
+// What ~Task does: report the frame to the registry, then free it.
+void destroy_like_task(std::coroutine_handle<> h) {
+  check::note_frame_destroyed(h.address());
+  h.destroy();
+}
+
+TEST(SimCheckStress, OneFrameDestroyedWhileQueuedAmongTenThousand) {
+  constexpr int kWaves = 100;
+  constexpr int kPerWave = kStressFrames / kWaves;
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    Simulation sim;
+    sim.auditor()->set_fail_fast(false);
+    Rng rng(seed);
+    const int victim = static_cast<int>(rng.next() % kStressFrames);
+    std::vector<int> resumes(kStressFrames, 0);
+    for (int wave = 0; wave < kWaves; ++wave) {
+      // Frames of one wave are freed before the next is created, so the
+      // FrameArena hands their addresses to the next wave's frames.
+      std::vector<std::coroutine_handle<>> frames;
+      for (int j = 0; j < kPerWave; ++j) {
+        const int id = wave * kPerWave + j;
+        frames.push_back(count_resumes(resumes[static_cast<std::size_t>(id)]).release());
+        sim.schedule_at(sim.now() + 1.0 + 0.001 * j, frames.back());
+      }
+      const int local = victim - wave * kPerWave;
+      if (local >= 0 && local < kPerWave) destroy_like_task(frames[static_cast<std::size_t>(local)]);
+      sim.run();
+      for (int j = 0; j < kPerWave; ++j) {
+        if (j != local) destroy_like_task(frames[static_cast<std::size_t>(j)]);
+      }
+    }
+    EXPECT_EQ(sim.auditor()->count(Violation::kResumeAfterDestroy), 1u) << "seed " << seed;
+    EXPECT_EQ(sim.auditor()->violations().size(), 1u) << "seed " << seed;
+    for (int id = 0; id < kStressFrames; ++id) {
+      ASSERT_EQ(resumes[static_cast<std::size_t>(id)], id == victim ? 0 : 1)
+          << "seed " << seed << " frame " << id;
+    }
+  }
+}
+
+TEST(SimCheckStress, DoubleScheduleAfterTenThousandCleanOnesThrows) {
+  Simulation sim;
+  Rng rng(11);
+  std::vector<int> resumes(kStressFrames, 0);
+  std::vector<std::coroutine_handle<>> frames;
+  for (int& r : resumes) frames.push_back(count_resumes(r).release());
+  for (int round = 1; round <= 2; ++round) {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      sim.schedule_at(round + 0.0001 * static_cast<double>(i), frames[i]);
+    }
+    if (round == 1) sim.run();  // round 2 stays queued: 10^4 pending frames
+  }
+  const std::size_t twice = rng.next() % frames.size();
+  EXPECT_THROW(sim.schedule_at(3.0, frames[twice]), AuditError);
+  EXPECT_EQ(sim.auditor()->count(Violation::kDoubleResume), 1u);
+  EXPECT_EQ(sim.auditor()->violations().size(), 1u);
+  sim.run();
+  for (const int r : resumes) ASSERT_EQ(r, 2);
+  for (auto h : frames) destroy_like_task(h);
+}
+
+TEST(SimCheckStress, LeakAfterTenThousandBalancedCyclesRecorded) {
+  Simulation sim;
+  std::vector<std::unique_ptr<Resource>> resources;
+  for (int i = 0; i < 64; ++i) resources.push_back(std::make_unique<Resource>(sim, 2));
+  run_task(sim, [](Simulation& s, std::vector<std::unique_ptr<Resource>>& rs) -> Task<void> {
+    for (int i = 0; i < kStressFrames; ++i) {
+      auto g = co_await rs[static_cast<std::size_t>(i) % rs.size()]->acquire(1 + i % 2);
+      if (i % 7 == 0) co_await s.delay(0.001);
+    }
+  }(sim, resources));
+  ASSERT_EQ(sim.auditor()->violations().size(), 0u);
+  Rng rng(5);
+  const std::size_t leaky = rng.next() % resources.size();
+  {
+    auto awaiter = resources[leaky]->acquire(1);
+    ASSERT_TRUE(awaiter.await_ready());  // acquires inline; no guard ever releases it
+  }
+  for (std::size_t i = 0; i < resources.size(); ++i) {
+    EXPECT_EQ(sim.auditor()->resource_outstanding(resources[i].get()), i == leaky ? 1 : 0);
+  }
+  resources.clear();  // destructor context: records, must not throw
+  ASSERT_EQ(sim.auditor()->count(Violation::kResourceAccounting), 1u);
+  EXPECT_NE(sim.auditor()->violations()[0].detail.find("still acquired"), std::string::npos);
 }
 
 // --- pending-process teardown -----------------------------------------------

@@ -52,6 +52,45 @@ TEST(ContentStore, OverlappingWritesLastWins) {
   EXPECT_TRUE(check_pattern(std::span(back).subspan(1536, 512), 1, 1536));
 }
 
+// A fresh chunk is not zeroed in full; the first write zeroes only what it
+// leaves uncovered. Each case first fills and frees chunks of the same size,
+// so the allocator is likely to hand back dirty memory and a missing
+// zero-fill shows up as stale 0xff bytes.
+void dirty_the_heap(ByteCount chunk_bytes) {
+  ContentStore junk(chunk_bytes);
+  junk.write(0, std::vector<std::byte>(4 * chunk_bytes, std::byte{0xff}));
+}
+
+void expect_zero(std::span<const std::byte> s, FileOffset at) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    ASSERT_EQ(s[i], std::byte{0}) << "nonzero byte at offset " << at + i;
+  }
+}
+
+TEST(ContentStore, FirstWriteIntoMiddleOfFreshChunkZeroesBothSides) {
+  dirty_the_heap(4096);
+  ContentStore cs(4096);
+  cs.write(1000, make_pattern(3, 1000, 100));
+  std::vector<std::byte> back(4096, std::byte{0xee});
+  cs.read(0, back);
+  expect_zero(std::span(back).subspan(0, 1000), 0);
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(1000, 100), 3, 1000));
+  expect_zero(std::span(back).subspan(1100), 1100);
+  EXPECT_EQ(cs.chunk_count(), 1u);
+}
+
+TEST(ContentStore, FirstWriteAcrossChunkBoundaryZeroesBothSides) {
+  dirty_the_heap(4096);
+  ContentStore cs(4096);
+  cs.write(4000, make_pattern(5, 4000, 200));  // 96 bytes in chunk 0, 104 in chunk 1
+  std::vector<std::byte> back(2 * 4096, std::byte{0xee});
+  cs.read(0, back);
+  expect_zero(std::span(back).subspan(0, 4000), 0);
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(4000, 200), 5, 4000));
+  expect_zero(std::span(back).subspan(4200), 4200);
+  EXPECT_EQ(cs.chunk_count(), 2u);
+}
+
 TEST(BlockAllocator, AllocatesDistinctBlocks) {
   BlockAllocator a(10);
   std::vector<bool> seen(10, false);
